@@ -38,7 +38,7 @@ from .graph import (  # noqa: E402
 )
 from .walks import WalkCorpus, extract_pairs, generate_walks, sample_pair_batch  # noqa: E402
 from .params import AdamOptimizer, EmbeddingTables, SparseGrad, init_embeddings  # noqa: E402
-from .structural import NoiseDistribution, negative_sampling_loss, softmax_prob  # noqa: E402
+from .structural import NoiseDistribution, softmax_prob  # noqa: E402
 from .relational import (  # noqa: E402
     MlpParams,
     bce_loss,
@@ -100,7 +100,6 @@ __all__ = [
     "load_node_labels",
     "macro_f1",
     "mlp_forward",
-    "negative_sampling_loss",
     "node_classification_experiment",
     "predict_top_k",
     "relational_backward",

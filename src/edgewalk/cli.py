@@ -64,7 +64,10 @@ def _write_manifest(path: Path, command: str, config_dict: dict, inputs: dict) -
 
 def _load_config_file(path: str) -> dict:
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: config file must hold a JSON object")
     if "config" in data and "tool_version" in data:
@@ -85,30 +88,22 @@ def _collect_train_config(args: argparse.Namespace) -> TrainConfig:
 
 
 def _add_train_flags(parser: argparse.ArgumentParser) -> None:
+    """One flag per TrainConfig field, named after it; unset flags stay off ``args``."""
     sup = argparse.SUPPRESS
     parser.add_argument("--config", help="JSON config file or a previous run's manifest")
-    parser.add_argument("--lambda", dest="lambda_", type=float, default=sup,
-                        help="relational share of each round's batches, in [0, 1]")
-    parser.add_argument("--batches-per-round", type=int, default=sup)
-    parser.add_argument("--structural-batch", type=int, default=sup)
-    parser.add_argument("--relational-batch", type=int, default=sup)
-    parser.add_argument("--walks-per-node", type=int, default=sup)
-    parser.add_argument("--walk-length", type=int, default=sup)
-    parser.add_argument("--window", type=int, default=sup)
-    parser.add_argument("--dim", type=int, default=sup)
-    parser.add_argument("--negatives", type=int, default=sup)
-    parser.add_argument("--hidden", type=int, default=sup)
-    parser.add_argument("--lr", type=float, default=sup)
-    parser.add_argument("--early-stop-window", type=int, default=sup)
-    parser.add_argument("--max-rounds", type=int, default=sup)
-    parser.add_argument("--unsupervised-rounds", type=int, default=sup)
-    parser.add_argument("--validation-fraction", type=float, default=sup)
-    parser.add_argument("--noise-power", type=float, default=sup)
-    parser.add_argument("--no-regenerate-walks", dest="regenerate_walks",
-                        action="store_false", default=sup,
-                        help="reuse one walk corpus instead of redrawing per pass")
-    parser.add_argument("--dtype", choices=("float64", "float32"), default=sup)
-    parser.add_argument("--seed", type=int, default=sup)
+    for f in dataclasses.fields(TrainConfig):
+        if f.name == "lambda_":
+            parser.add_argument("--lambda", dest="lambda_", type=float, default=sup,
+                                help="relational share of each round's batches, in [0, 1]")
+        elif f.name == "regenerate_walks":
+            parser.add_argument("--no-regenerate-walks", dest="regenerate_walks",
+                                action="store_false", default=sup,
+                                help="reuse one walk corpus instead of redrawing per pass")
+        elif f.name == "dtype":
+            parser.add_argument("--dtype", choices=("float64", "float32"), default=sup)
+        else:
+            parser.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
+                                default=sup)
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -127,15 +122,18 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     corpus = None
     cache = Path(args.walk_cache) if args.walk_cache else None
-    cache_input = None
     if cache is not None and cache.exists():
         with open(cache) as fh:
             corpus = read_walks(fh, graph)
-        cache_input = cache
+        if (corpus.walk_length, corpus.walks_per_node) != (config.walk_length,
+                                                           config.walks_per_node):
+            raise ConfigError(
+                f"{cache}: walks of length {corpus.walk_length}, {corpus.walks_per_node} per "
+                f"node; config asks for {config.walk_length}, {config.walks_per_node}")
 
     _write_manifest(out_dir / "manifest.json", "train", config.to_dict(),
                     {"edges": args.edges, "edge_labels": args.edge_labels,
-                     "walk_cache": str(cache_input) if cache_input else None})
+                     "walk_cache": str(cache) if corpus is not None else None})
 
     if cache is not None and corpus is None:
         corpus = generate_walks(graph, config.walks_per_node, config.walk_length,
@@ -358,10 +356,7 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except EdgewalkError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (EdgewalkError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

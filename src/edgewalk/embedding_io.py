@@ -30,7 +30,7 @@ def read_embeddings(lines: Iterable[str]) -> tuple[list[str], np.ndarray]:
     except StopIteration:
         raise ParseError("embedding file is empty") from None
     parts = header.split()
-    if len(parts) != 2:
+    if len(parts) != 2 or not all(p.isdecimal() for p in parts):
         raise ParseError(f"bad embedding header {header.strip()!r}, expected 'count dim'")
     count, dim = int(parts[0]), int(parts[1])
     ids: list[str] = []
@@ -46,7 +46,10 @@ def read_embeddings(lines: Iterable[str]) -> tuple[list[str], np.ndarray]:
         if row >= count:
             raise ParseError(f"line {n}: more rows than the header's {count}")
         ids.append(fields[0])
-        matrix[row] = [float(x) for x in fields[1:]]
+        try:
+            matrix[row] = [float(x) for x in fields[1:]]
+        except ValueError as exc:
+            raise ParseError(f"line {n}: {exc}") from None
         row += 1
     if row != count:
         raise ParseError(f"embedding file ended after {row} of {count} rows")

@@ -81,14 +81,6 @@ class LabelVocabulary:
     labels: tuple[str, ...]
     index: Mapping[str, int]
 
-    @classmethod
-    def from_labels(cls, labels: Iterable[str]) -> "LabelVocabulary":
-        seen: dict[str, int] = {}
-        for lab in labels:
-            if lab not in seen:
-                seen[lab] = len(seen)
-        return cls(labels=tuple(seen), index=seen)
-
     def __len__(self) -> int:
         return len(self.labels)
 
@@ -98,18 +90,21 @@ class LabeledEdgeSet:
     """Partition of edge indices into labeled and unlabeled parts.
 
     ``labeled`` maps an edge index to its non-empty set of label indices;
-    ``unlabeled`` holds every other edge index. ``num_labels`` is the size
-    of the vocabulary the label indices refer to.
+    ``unlabeled`` is every other edge index, computed on access.
+    ``num_labels`` is the size of the vocabulary the label indices refer to.
     """
 
     labeled: Mapping[int, frozenset[int]]
-    unlabeled: frozenset[int]
     num_edges: int
     num_labels: int
 
     @property
     def num_labeled(self) -> int:
         return len(self.labeled)
+
+    @property
+    def unlabeled(self) -> frozenset[int]:
+        return frozenset(range(self.num_edges)) - self.labeled.keys()
 
 
 @dataclass(frozen=True)
@@ -161,16 +156,13 @@ def load_edge_list(lines: Iterable[str]) -> Graph:
 def _build_graph(ids, index, edges, edge_index) -> Graph:
     num_nodes = len(ids)
     edge_arr = np.asarray(edges, dtype=np.int64).reshape(len(edges), 2)
-    neighbor_lists: list[list[int]] = [[] for _ in range(num_nodes)]
-    for u, v in edges:
-        neighbor_lists[u].append(v)
-        neighbor_lists[v].append(u)
+    # Each edge in both directions as one source-major key, sorted.
+    u, v = edge_arr[:, 0], edge_arr[:, 1]
+    keys = np.concatenate([u * num_nodes + v, v * num_nodes + u])
+    keys.sort()
+    indices = keys % num_nodes
     indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-    for v, nbrs in enumerate(neighbor_lists):
-        indptr[v + 1] = indptr[v] + len(nbrs)
-    indices = np.empty(indptr[-1], dtype=np.int64)
-    for v, nbrs in enumerate(neighbor_lists):
-        indices[indptr[v] : indptr[v + 1]] = sorted(nbrs)
+    np.cumsum(np.bincount(edge_arr.ravel(), minlength=num_nodes), out=indptr[1:])
     return Graph(
         ids=tuple(ids),
         index=index,
@@ -218,16 +210,12 @@ def load_edge_labels(lines: Iterable[str], graph: Graph) -> tuple[LabelVocabular
         if edge is None:
             raise ValidationError(f"line {n}: {src!r} {dst!r} is not an edge of the graph")
         for lab in _split_labels(label_field, n):
-            if lab not in vocab_index:
-                vocab_index[lab] = len(vocab_index)
-            labeled.setdefault(edge, set()).add(vocab_index[lab])
+            labeled.setdefault(edge, set()).add(vocab_index.setdefault(lab, len(vocab_index)))
 
     vocab = LabelVocabulary(labels=tuple(vocab_index), index=vocab_index)
     labeled_frozen = {e: frozenset(labs) for e, labs in sorted(labeled.items())}
-    unlabeled = frozenset(range(graph.num_edges)) - labeled_frozen.keys()
     return vocab, LabeledEdgeSet(
         labeled=labeled_frozen,
-        unlabeled=unlabeled,
         num_edges=graph.num_edges,
         num_labels=len(vocab),
     )
@@ -253,11 +241,8 @@ def split_labeled_edges(
     val_keys = sorted(keys[i] for i in perm[n_train:])
 
     def subset(selected: list[int]) -> LabeledEdgeSet:
-        labeled = {e: edge_set.labeled[e] for e in selected}
-        unlabeled = frozenset(range(edge_set.num_edges)) - labeled.keys()
         return LabeledEdgeSet(
-            labeled=labeled,
-            unlabeled=unlabeled,
+            labeled={e: edge_set.labeled[e] for e in selected},
             num_edges=edge_set.num_edges,
             num_labels=edge_set.num_labels,
         )
@@ -294,9 +279,7 @@ def load_node_labels(
             skipped.append(token)
             continue
         for lab in _split_labels(label_field, n):
-            if lab not in vocab_index:
-                vocab_index[lab] = len(vocab_index)
-            labels.setdefault(node, set()).add(vocab_index[lab])
+            labels.setdefault(node, set()).add(vocab_index.setdefault(lab, len(vocab_index)))
 
     vocab = LabelVocabulary(labels=tuple(vocab_index), index=vocab_index)
     frozen = {v: frozenset(labs) for v, labs in sorted(labels.items())}

@@ -34,9 +34,6 @@ class EmbeddingTables:
     def dim(self) -> int:
         return self.center.shape[1]
 
-    def copy(self) -> "EmbeddingTables":
-        return EmbeddingTables(self.center.copy(), self.context.copy())
-
 
 def init_embeddings(node_count: int, dim: int, seed: int, dtype=np.float64) -> EmbeddingTables:
     """Center rows uniform in [-0.5/dim, 0.5/dim], context rows zero."""
@@ -201,17 +198,23 @@ def save_checkpoint(path, tables: EmbeddingTables, mlp, optimizer: AdamOptimizer
 
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:
+        def read(size: int) -> bytes:
+            data = fh.read(size)
+            if len(data) != size:
+                raise ParseError(f"{path}: truncated checkpoint")
+            return data
+
         magic = fh.read(8)
         if magic != CHECKPOINT_MAGIC:
             raise ParseError(f"{path}: not an edgewalk checkpoint (bad magic {magic!r})")
-        (header_len,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(header_len))
+        (header_len,) = struct.unpack("<I", read(4))
+        header = json.loads(read(header_len))
         loaded: dict[str, np.ndarray] = {}
         for meta in header["arrays"]:
             shape = tuple(meta["shape"])
             dtype = np.dtype(meta["dtype"])
             count = int(np.prod(shape)) if shape else 1
-            data = fh.read(count * dtype.itemsize)
+            data = read(count * dtype.itemsize)
             loaded[meta["name"]] = np.frombuffer(data, dtype=dtype).reshape(shape).copy()
 
     weights = [loaded[k] for k in sorted(loaded) if k.startswith("mlp_w")]

@@ -28,17 +28,6 @@ class MlpParams:
     weights: list[np.ndarray]
     biases: list[np.ndarray]
 
-    @property
-    def input_dim(self) -> int:
-        return self.weights[0].shape[1]
-
-    @property
-    def output_dim(self) -> int:
-        return self.weights[-1].shape[0]
-
-    def copy(self) -> "MlpParams":
-        return MlpParams([w.copy() for w in self.weights], [b.copy() for b in self.biases])
-
 
 def init_mlp(input_dim: int, hidden_dim: int, output_dim: int,
              rng: np.random.Generator, dtype=np.float64) -> MlpParams:
@@ -86,6 +75,13 @@ def mlp_forward(x: np.ndarray, params: MlpParams) -> tuple[np.ndarray, list[np.n
     return (y_hat[0] if single else y_hat), cache
 
 
+def _clamped_bce(y: np.ndarray, y_hat: np.ndarray) -> np.ndarray:
+    """Cross-entropy with probabilities clamped to [floor, 1 - floor], summed
+    over the last (label) axis."""
+    p = np.clip(y_hat, PROB_FLOOR, 1.0 - PROB_FLOOR)
+    return -(y * np.log(p) + (1.0 - y) * np.log1p(-p)).sum(axis=-1)
+
+
 def bce_loss(y: np.ndarray, y_hat: np.ndarray) -> float:
     """Multi-label binary cross-entropy, summed over labels.
 
@@ -96,8 +92,7 @@ def bce_loss(y: np.ndarray, y_hat: np.ndarray) -> float:
     y_hat = np.asarray(y_hat, dtype=np.float64)
     if y.shape != y_hat.shape:
         raise ValidationError(f"target shape {y.shape} != prediction shape {y_hat.shape}")
-    p = np.clip(y_hat, PROB_FLOOR, 1.0 - PROB_FLOOR)
-    return float(-(y * np.log(p) + (1.0 - y) * np.log1p(-p)).sum())
+    return float(_clamped_bce(y, y_hat).sum())
 
 
 def relational_loss(edges: np.ndarray, targets: np.ndarray, tables: EmbeddingTables,
@@ -105,10 +100,7 @@ def relational_loss(edges: np.ndarray, targets: np.ndarray, tables: EmbeddingTab
     """Mean per-edge cross-entropy of a batch (forward only)."""
     x, _ = compose_batch(edges, tables)
     y_hat, _ = mlp_forward(x, params)
-    targets = np.asarray(targets, dtype=np.float64)
-    p = np.clip(y_hat, PROB_FLOOR, 1.0 - PROB_FLOOR)
-    per_edge = -(targets * np.log(p) + (1.0 - targets) * np.log1p(-p)).sum(axis=1)
-    return float(per_edge.mean())
+    return float(_clamped_bce(np.asarray(targets, dtype=np.float64), y_hat).mean())
 
 
 @dataclass
@@ -132,9 +124,7 @@ def relational_backward(edges: np.ndarray, targets: np.ndarray, tables: Embeddin
     x, canon = compose_batch(edges, tables)
     y_hat, cache = mlp_forward(x, params)
     n = len(edges)
-
-    p = np.clip(y_hat, PROB_FLOOR, 1.0 - PROB_FLOOR)
-    loss = float(-(targets * np.log(p) + (1.0 - targets) * np.log1p(-p)).sum(axis=1).mean())
+    loss = float(_clamped_bce(targets, y_hat).mean())
 
     # Sigmoid + cross-entropy collapse to (y_hat - y) at the output layer.
     delta = (y_hat - targets) / n

@@ -15,8 +15,6 @@ with scipy's expit, so no score magnitude can produce an infinity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import expit
 
@@ -35,7 +33,6 @@ class NoiseDistribution:
         total = weights.sum()
         if total <= 0:
             raise ConfigError("noise distribution needs at least one positive-degree node")
-        self.power = power
         self.probs = weights / total
         self._cumulative = np.cumsum(self.probs)
         self._cumulative[-1] = 1.0  # guard the tail against rounding
@@ -72,13 +69,6 @@ def softmax_distribution(v: int, tables: EmbeddingTables) -> np.ndarray:
 def softmax_prob(u: int, v: int, tables: EmbeddingTables) -> float:
     """Reference probability of context u given center v under the full softmax."""
     return float(softmax_distribution(v, tables)[u])
-
-
-@dataclass
-class StructuralBatchResult:
-    loss: float
-    grads: SparseGrad
-    negatives: np.ndarray
 
 
 def loss_and_grads(
@@ -121,15 +111,3 @@ def loss_and_grads(
     )
     return float(loss), grad
 
-
-def negative_sampling_loss(
-    pairs: np.ndarray,
-    k: int,
-    tables: EmbeddingTables,
-    noise: NoiseDistribution,
-    rng: np.random.Generator,
-) -> StructuralBatchResult:
-    """Draw negatives and evaluate the batch loss and gradients."""
-    negatives = sample_negatives(np.asarray(pairs)[:, 1], k, noise, rng)
-    loss, grads = loss_and_grads(pairs, negatives, tables)
-    return StructuralBatchResult(loss=loss, grads=grads, negatives=negatives)

@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .errors import ConfigError, ValidationError
 
@@ -31,19 +33,9 @@ class SynthDataset:
 def _connected(num_nodes: int, edges: np.ndarray) -> bool:
     if num_nodes == 0:
         return False
-    adj: list[list[int]] = [[] for _ in range(num_nodes)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = np.zeros(num_nodes, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        for nbr in adj[stack.pop()]:
-            if not seen[nbr]:
-                seen[nbr] = True
-                stack.append(nbr)
-    return bool(seen.all())
+    adj = coo_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])),
+                     shape=(num_nodes, num_nodes))
+    return connected_components(adj, directed=False, return_labels=False) == 1
 
 
 def generate_planted_partition(communities: int, community_size: int, p_in: float,

@@ -98,15 +98,16 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        kinds = {f.name: type(f.default) for f in fields(cls)}
+        unknown = set(data) - set(kinds)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for name, value in data.items():
+            kind = kinds[name]
+            allowed = (int, float) if kind is float else kind
+            if not isinstance(value, allowed) or isinstance(value, bool) != (kind is bool):
+                raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}")
         return cls(**data)
-
-    @property
-    def np_dtype(self):
-        return np.float64 if self.dtype == "float64" else np.float32
 
 
 @dataclass
@@ -197,13 +198,12 @@ def train(graph: Graph, labeled_edges: LabeledEdgeSet | None, config: TrainConfi
     if supervised and (labeled_edges is None or not labeled_edges.labeled):
         raise ConfigError("lambda > 0 requires a non-empty labeled edge set")
 
-    dtype = config.np_dtype
+    dtype = np.dtype(config.dtype)
     tables = init_embeddings(graph.num_nodes, config.dim, _derive_seed(seed, _S_INIT), dtype)
     report = TrainReport()
 
     mlp = None
-    val_edges = val_targets = None
-    train_edges = train_targets = None
+    train_edges = train_targets = val_edges = val_targets = None
     if supervised:
         mlp = relational.init_mlp(2 * config.dim, config.hidden, labeled_edges.num_labels,
                                   _stream(seed, _S_MLP), dtype)
@@ -232,23 +232,60 @@ def train(graph: Graph, labeled_edges: LabeledEdgeSet | None, config: TrainConfi
                                           walk_seed(seed, 0))
         capacity = corpus.pair_capacity(config.window)
 
+    max_rounds = config.max_rounds
     if not supervised:
         # Pure skip-gram: one corpus pass per round, fixed round budget.
         n_structural = max(1, math.ceil(capacity / config.structural_batch))
-        n_relational = 0
         max_rounds = config.unsupervised_rounds
-    else:
-        max_rounds = config.max_rounds
 
     stopper = EarlyStopTracker(config.early_stop_window)
     stop_reason = "max_rounds"
-
+    consumed = generation = 0
     try:
-        stop_reason = _run_rounds(
-            graph, config, tables, mlp, optimizer, report, stopper, noise,
-            corpus, capacity, reuse_corpus, n_structural, n_relational,
-            train_edges, train_targets, val_edges, val_targets,
-            pair_rng, neg_rng, edge_rng, max_rounds, supervised, seed)
+        for round_no in range(1, max_rounds + 1):
+            t0 = time.perf_counter()
+            s_losses = []
+            for _ in range(n_structural):
+                if not reuse_corpus and consumed >= capacity:
+                    generation += 1
+                    corpus = walks.generate_walks(graph, config.walks_per_node,
+                                                  config.walk_length, walk_seed(seed, generation))
+                    consumed = 0
+                batch = walks.sample_pair_batch(corpus, config.window, config.structural_batch,
+                                                pair_rng)
+                consumed += config.structural_batch
+                negatives = structural.sample_negatives(batch[:, 1], config.negatives, noise,
+                                                        neg_rng)
+                loss, grads = structural.loss_and_grads(batch, negatives, tables)
+                if not math.isfinite(loss):
+                    raise NumericsError(f"structural loss diverged in round {round_no}")
+                optimizer.step(grads)
+                s_losses.append(loss)
+
+            r_losses = []
+            for _ in range(n_relational):
+                idx = edge_rng.integers(0, len(train_edges), size=config.relational_batch)
+                result = relational.relational_backward(train_edges[idx], train_targets[idx],
+                                                        tables, mlp)
+                if not math.isfinite(result.loss):
+                    raise NumericsError(f"relational loss diverged in round {round_no}")
+                optimizer.step(result.grads)
+                r_losses.append(result.loss)
+
+            s_mean = float(np.mean(s_losses)) if s_losses else math.nan
+            r_mean = float(np.mean(r_losses)) if r_losses else math.nan
+            if not supervised:
+                val_loss = math.nan
+            elif val_edges is not None:
+                val_loss = relational.relational_loss(val_edges, val_targets, tables, mlp)
+            else:
+                val_loss = r_mean  # empty validation split: fall back to train loss
+
+            report.rounds.append(RoundStats(round_no, s_mean, r_mean, val_loss,
+                                            time.perf_counter() - t0))
+            if supervised and stopper.update(val_loss):
+                stop_reason = "early_stop"
+                break
     except NumericsError as exc:
         if exc.report is None:
             exc.report = report
@@ -256,58 +293,3 @@ def train(graph: Graph, labeled_edges: LabeledEdgeSet | None, config: TrainConfi
 
     report.stop_reason = stop_reason
     return TrainResult(tables=tables, mlp=mlp, report=report, optimizer=optimizer)
-
-
-def _run_rounds(graph, config, tables, mlp, optimizer, report, stopper, noise,
-                corpus, capacity, reuse_corpus, n_structural, n_relational,
-                train_edges, train_targets, val_edges, val_targets,
-                pair_rng, neg_rng, edge_rng, max_rounds, supervised, seed):
-    consumed = 0
-    generation = 0
-    stop_reason = "max_rounds"
-    for round_no in range(1, max_rounds + 1):
-        t0 = time.perf_counter()
-        s_losses = []
-        for _ in range(n_structural):
-            if not reuse_corpus and consumed >= capacity:
-                generation += 1
-                corpus = walks.generate_walks(graph, config.walks_per_node, config.walk_length,
-                                              _derive_seed(seed, _S_WALKS, generation))
-                consumed = 0
-            batch = walks.sample_pair_batch(corpus, config.window, config.structural_batch,
-                                            pair_rng)
-            consumed += config.structural_batch
-            result = structural.negative_sampling_loss(batch, config.negatives, tables,
-                                                       noise, neg_rng)
-            if not math.isfinite(result.loss):
-                raise NumericsError(f"structural loss diverged in round {round_no}", report)
-            optimizer.step(result.grads)
-            s_losses.append(result.loss)
-
-        r_losses = []
-        for _ in range(n_relational):
-            idx = edge_rng.integers(0, len(train_edges), size=config.relational_batch)
-            result = relational.relational_backward(train_edges[idx], train_targets[idx],
-                                                    tables, mlp)
-            if not math.isfinite(result.loss):
-                raise NumericsError(f"relational loss diverged in round {round_no}", report)
-            optimizer.step(result.grads)
-            r_losses.append(result.loss)
-
-        s_mean = float(np.mean(s_losses)) if s_losses else math.nan
-        r_mean = float(np.mean(r_losses)) if r_losses else math.nan
-        if supervised:
-            if val_edges is not None:
-                val_loss = relational.relational_loss(val_edges, val_targets, tables, mlp)
-            else:
-                val_loss = r_mean  # empty validation split: fall back to train loss
-        else:
-            val_loss = math.nan
-
-        report.rounds.append(RoundStats(round_no, s_mean, r_mean, val_loss,
-                                        time.perf_counter() - t0))
-        if supervised and stopper.update(val_loss):
-            stop_reason = "early_stop"
-            break
-
-    return stop_reason

@@ -37,10 +37,7 @@ class WalkCorpus:
 
 
 def _pairs_per_walk(length: int, window: int) -> int:
-    total = 0
-    for i in range(length):
-        total += min(i + window, length - 1) - max(i - window, 0)
-    return total
+    return sum(min(i + window, length - 1) - max(i - window, 0) for i in range(length))
 
 
 def generate_walks(graph: Graph, walks_per_node: int, walk_length: int, seed: int) -> WalkCorpus:

@@ -56,10 +56,16 @@ def test_first_seen_interning_order():
 def test_adjacency_sorted_and_unique():
     lines = ["a b", "a c", "a d", "c a", "b d", "d c"]
     g = load_edge_list(lines)
+    brute = {v: set() for v in range(g.num_nodes)}
+    for u, v in g.edges.tolist():
+        brute[u].add(v)
+        brute[v].add(u)
     for v in range(g.num_nodes):
         nbrs = g.neighbors(v).tolist()
         assert nbrs == sorted(set(nbrs))
         assert v not in nbrs
+        assert set(nbrs) == brute[v]
+    assert g.adj_indptr[-1] == 2 * g.num_edges
 
 
 def test_round_trip():
@@ -178,6 +184,8 @@ def test_split_is_partition():
     train, val = split_labeled_edges(labels, 0.6, seed=3)
     assert set(train.labeled) | set(val.labeled) == set(labels.labeled)
     assert set(train.labeled) & set(val.labeled) == set()
+    for half in (train, val):
+        assert half.unlabeled == set(range(labels.num_edges)) - set(half.labeled)
 
 
 def test_split_bad_fraction():

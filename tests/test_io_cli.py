@@ -37,6 +37,10 @@ def test_embedding_header_errors():
         read_embeddings(io.StringIO("2 2\nA 0.5 0.5\n"))  # missing row
     with pytest.raises(ParseError):
         read_embeddings(io.StringIO("1 2\nA 0.5\n"))  # short row
+    with pytest.raises(ParseError):
+        read_embeddings(io.StringIO("a b\nA 0.5 0.5\n"))  # non-numeric header
+    with pytest.raises(ParseError):
+        read_embeddings(io.StringIO("1 2\nA 0.5 x\n"))  # non-numeric value
 
 
 # CLI fixtures -------------------------------------------------------------------
@@ -167,6 +171,29 @@ def test_walk_cache_written_and_reused(synth_dir, tmp_path):
     # Second run consumes the cache and reproduces the embeddings.
     assert run_train(synth_dir, dir_b, "--walk-cache", str(cache)) == 0
     assert (dir_a / "embeddings.vec").read_bytes() == (dir_b / "embeddings.vec").read_bytes()
+
+
+@pytest.mark.parametrize("flag", ["--walk-length", "--walks-per-node"])
+def test_walk_cache_mismatch_refused(synth_dir, tmp_path, capsys, flag):
+    cache = tmp_path / "walks.txt"
+    assert run_train(synth_dir, tmp_path / "a", "--walk-cache", str(cache)) == 0
+    out = tmp_path / "b"
+    rc = run_train(synth_dir, out, "--walk-cache", str(cache), flag, "3")
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("text", ['{"dim": 4,', '{"dim": "x"}'])
+def test_bad_config_file_is_an_error(synth_dir, tmp_path, capsys, text):
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(text)
+    rc = main(["train", str(synth_dir / "graph.edges"), str(synth_dir / "graph.edge_labels"),
+               "--config", str(config_path), "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
 
 
 # evaluate -----------------------------------------------------------------------

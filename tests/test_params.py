@@ -185,3 +185,17 @@ def test_checkpoint_bytes_deterministic(tmp_path):
     save_checkpoint(p1, tables, None, opt, {"seed": 0}, ids=["x", "y", "z"])
     save_checkpoint(p2, tables, None, opt, {"seed": 0}, ids=["x", "y", "z"])
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_checkpoint_truncated(tmp_path):
+    tables = init_embeddings(3, 4, seed=0)
+    full = tmp_path / "full.ckpt"
+    save_checkpoint(full, tables, None, AdamOptimizer(tables), {"seed": 0}, ids=["x", "y", "z"])
+    blob = full.read_bytes()
+    header_end = 12 + int.from_bytes(blob[8:12], "little")
+    cut = tmp_path / "cut.ckpt"
+    # Inside the length field, the JSON header, the first array and the last array.
+    for size in (10, 20, header_end + 8, len(blob) - 1):
+        cut.write_bytes(blob[:size])
+        with pytest.raises(ParseError, match="truncated"):
+            load_checkpoint(cut)

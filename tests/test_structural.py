@@ -9,7 +9,6 @@ from edgewalk.params import AdamOptimizer, EmbeddingTables
 from edgewalk.structural import (
     NoiseDistribution,
     loss_and_grads,
-    negative_sampling_loss,
     sample_negatives,
     softmax_distribution,
     softmax_prob,
@@ -181,17 +180,18 @@ def test_negative_sampling_loss_end_to_end():
     tables = random_tables(rng, 6, 4)
     noise = NoiseDistribution(np.ones(6), power=0.75)
     pairs = rng.integers(0, 6, size=(10, 2))
-    result = negative_sampling_loss(pairs, 3, tables, noise, rng)
-    assert result.negatives.shape == (10, 3)
-    assert not (result.negatives == pairs[:, 1][:, None]).any()
-    assert result.loss >= 0.0
+    negatives = sample_negatives(pairs[:, 1], 3, noise, rng)
+    loss, _ = loss_and_grads(pairs, negatives, tables)
+    assert negatives.shape == (10, 3)
+    assert not (negatives == pairs[:, 1][:, None]).any()
+    assert loss >= 0.0
     # Determinism: same rng state, same outcome.
-    rng_a = np.random.default_rng(123)
-    rng_b = np.random.default_rng(123)
-    res_a = negative_sampling_loss(pairs, 3, tables, noise, rng_a)
-    res_b = negative_sampling_loss(pairs, 3, tables, noise, rng_b)
-    assert res_a.loss == res_b.loss
-    assert np.array_equal(res_a.negatives, res_b.negatives)
+    negs_a = sample_negatives(pairs[:, 1], 3, noise, np.random.default_rng(123))
+    negs_b = sample_negatives(pairs[:, 1], 3, noise, np.random.default_rng(123))
+    loss_a, _ = loss_and_grads(pairs, negs_a, tables)
+    loss_b, _ = loss_and_grads(pairs, negs_b, tables)
+    assert loss_a == loss_b
+    assert np.array_equal(negs_a, negs_b)
 
 
 def test_full_softmax_and_sampled_loss_fall_together():
@@ -214,8 +214,9 @@ def test_full_softmax_and_sampled_loss_fall_together():
     softmax_losses, sampled_losses = [], []
     for step in range(400):
         batch = sample_pair_batch(corpus, 3, 40, pair_rng)
-        result = negative_sampling_loss(batch, 4, tables, noise, neg_rng)
-        opt.step(result.grads)
+        negatives = sample_negatives(batch[:, 1], 4, noise, neg_rng)
+        _, grads = loss_and_grads(batch, negatives, tables)
+        opt.step(grads)
         if step % 40 == 0:
             sampled, _ = loss_and_grads(eval_pairs, eval_negs, tables)
             sampled_losses.append(sampled)

@@ -80,6 +80,14 @@ def test_config_round_trip_and_unknown_keys():
         TrainConfig.from_dict({"walk_speed": 3})
 
 
+def test_config_field_types():
+    assert TrainConfig.from_dict({"lambda_": 1, "lr": 0.5}).lambda_ == 1  # int for float
+    for bad in ({"dim": "x"}, {"dim": 2.0}, {"dim": True}, {"lr": None},
+                {"regenerate_walks": 0}, {"dtype": 32}):
+        with pytest.raises(ConfigError):
+            TrainConfig.from_dict(bad)
+
+
 # schedule --------------------------------------------------------------------
 
 

@@ -36,13 +36,12 @@ from .graph import (  # noqa: E402
     load_node_labels,
     split_labeled_edges,
 )
-from .walks import WalkCorpus, extract_pairs, generate_walks, sample_pair_batch  # noqa: E402
+from .walks import WalkCorpus, generate_walks, sample_pair_batch  # noqa: E402
 from .params import AdamOptimizer, EmbeddingTables, SparseGrad, init_embeddings  # noqa: E402
-from .structural import NoiseDistribution, softmax_prob  # noqa: E402
+from .structural import NoiseDistribution  # noqa: E402
 from .relational import (  # noqa: E402
     MlpParams,
     bce_loss,
-    compose_edge_embedding,
     init_mlp,
     mlp_forward,
     relational_backward,
@@ -51,7 +50,6 @@ from .training import (  # noqa: E402
     TrainConfig,
     TrainReport,
     TrainResult,
-    combined_loss,
     schedule_counts,
     train,
 )
@@ -88,9 +86,6 @@ __all__ = [
     "ValidationError",
     "WalkCorpus",
     "bce_loss",
-    "combined_loss",
-    "compose_edge_embedding",
-    "extract_pairs",
     "generate_planted_partition",
     "generate_walks",
     "init_embeddings",
@@ -105,7 +100,6 @@ __all__ = [
     "relational_backward",
     "sample_pair_batch",
     "schedule_counts",
-    "softmax_prob",
     "split_labeled_edges",
     "train",
     "train_ovr_logreg",

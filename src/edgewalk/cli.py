@@ -164,10 +164,7 @@ def _aligned_eval_inputs(embedding_path: str, node_label_path: str, strict: bool
                                               on_missing="error" if strict else "skip")
     for name in skipped:
         log.warning("node %r has labels but no embedding; excluded", name)
-    rows = sorted(label_set.labels)
-    features = matrix[rows]
-    sets = [label_set.labels[r] for r in rows]
-    return features, sets, len(label_set.vocab)
+    return matrix[label_set.nodes], label_set.targets
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -185,9 +182,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                     dataclasses.asdict(config) | {"strict": args.strict},
                     {"embeddings": args.embeddings, "node_labels": args.node_labels})
 
-    features, sets, num_labels = _aligned_eval_inputs(args.embeddings, args.node_labels,
-                                                      args.strict)
-    report = node_classification_experiment(features, sets, num_labels, config)
+    features, targets = _aligned_eval_inputs(args.embeddings, args.node_labels, args.strict)
+    report = node_classification_experiment(features, targets, config)
     table = report.format_table()
     sys.stdout.write(table)
     (out_dir / "eval_report.txt").write_text(table)
@@ -240,8 +236,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         node_label_set, skipped = load_node_labels(fh, graph.index, on_missing="skip")
     for name in skipped:
         log.warning("node %r has labels but is not in the graph; excluded", name)
-    rows = sorted(node_label_set.labels)
-    sets = [node_label_set.labels[r] for r in rows]
 
     _write_manifest(out_dir / "sweep_manifest.json", "sweep",
                     base.to_dict() | {"sweep_parameter": args.parameter,
@@ -266,8 +260,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             labeled, _ = split_labeled_edges(full_labels, float(value), base.seed)
         config.validate()
         result = train(graph, labeled if config.lambda_ > 0 else None, config)
-        report = node_classification_experiment(result.tables.center[rows], sets,
-                                                len(node_label_set.vocab), eval_config)
+        report = node_classification_experiment(result.tables.center[node_label_set.nodes],
+                                                node_label_set.targets, eval_config)
         series.append((value, report.means[0], report.stds[0]))
         log.info("%s=%s -> macro_f1 %.4f (+/- %.4f)", args.parameter, value,
                  report.means[0], report.stds[0])

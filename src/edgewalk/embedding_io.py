@@ -34,7 +34,11 @@ def read_embeddings(lines: Iterable[str]) -> tuple[list[str], np.ndarray]:
         raise ParseError(f"bad embedding header {header.strip()!r}, expected 'count dim'")
     count, dim = int(parts[0]), int(parts[1])
     ids: list[str] = []
-    matrix = np.empty((count, dim), dtype=np.float64)
+    try:
+        matrix = np.empty((count, dim), dtype=np.float64)
+    except (ValueError, MemoryError):
+        raise ParseError(f"embedding header {header.strip()!r} asks for "
+                         f"more memory than can be allocated") from None
     row = 0
     for n, line in enumerate(it, 2):
         line = line.strip()

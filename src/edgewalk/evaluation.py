@@ -15,7 +15,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 from scipy.optimize import minimize
@@ -97,23 +96,23 @@ def fit_binary_logreg(features: np.ndarray, positive: np.ndarray, l2_strength: f
     return res.x[:-1], float(res.x[-1])
 
 
-def train_ovr_logreg(features: np.ndarray, label_sets: Sequence[frozenset[int]],
-                     num_labels: int, l2_strength: float = 1.0) -> OvrClassifier:
-    """Fit one binary classifier per label.
+def train_ovr_logreg(features: np.ndarray, targets: np.ndarray,
+                     l2_strength: float = 1.0) -> OvrClassifier:
+    """Fit one binary classifier per column of the (N, L) bool ``targets``.
 
     Labels with no positive or no negative training example cannot be fit;
     they are skipped with a warning and recorded on the classifier.
     """
     x = np.asarray(features, dtype=np.float64)
-    n = len(label_sets)
+    n, num_labels = targets.shape
     if x.shape[0] != n:
-        raise ValidationError(f"{x.shape[0]} feature rows for {n} label sets")
+        raise ValidationError(f"{x.shape[0]} feature rows for {n} label rows")
     weights = np.zeros((num_labels, x.shape[1]))
     biases = np.zeros(num_labels)
     trained = np.zeros(num_labels, dtype=bool)
     skipped = []
     for lab in range(num_labels):
-        positive = np.fromiter((lab in s for s in label_sets), dtype=bool, count=n)
+        positive = targets[:, lab]
         pos = int(positive.sum())
         if pos == 0 or pos == n:
             skipped.append(lab)
@@ -126,35 +125,33 @@ def train_ovr_logreg(features: np.ndarray, label_sets: Sequence[frozenset[int]],
 
 
 def predict_top_k(classifier: OvrClassifier, features: np.ndarray,
-                  k_per_node: Sequence[int]) -> list[frozenset[int]]:
-    """Per node, the k highest-scoring labels; ties go to the lower index."""
+                  k_per_node: np.ndarray) -> np.ndarray:
+    """Bool (N, L) matrix of each node's k top-scoring labels; ties to the lower index."""
     scores = classifier.scores(np.asarray(features, dtype=np.float64))
-    order = np.argsort(-scores, axis=1, kind="stable")
-    return [frozenset(order[i, : k_per_node[i]].tolist()) for i in range(len(order))]
+    ranks = np.argsort(-scores, axis=1, kind="stable").argsort(axis=1)
+    return ranks < np.asarray(k_per_node).reshape(-1, 1)
 
 
-def macro_f1(true_sets: Sequence[frozenset[int]], pred_sets: Sequence[frozenset[int]]) -> float:
-    """Unweighted mean of per-label F1 over labels present in the ground truth.
+def macro_f1(truth: np.ndarray, pred: np.ndarray) -> float:
+    """Unweighted mean of per-label F1 over the labels (columns) set in ``truth``.
 
-    Per label: F1 = 2PR / (P + R), taken as 0 when P + R = 0.
+    ``truth`` and ``pred`` are bool (N, L) multi-hot matrices. Per label:
+    F1 = 2PR / (P + R), taken as 0 when P + R = 0.
     """
-    if len(true_sets) != len(pred_sets):
+    if truth.shape != pred.shape:
         raise ValidationError("truth and prediction cover different node counts")
-    labels = sorted(set().union(*true_sets)) if true_sets else []
-    if not labels:
+    present = truth.any(axis=0)
+    if not present.any():
         return 0.0
-    scores = []
-    for lab in labels:
-        tp = fp = fn = 0
-        for truth, pred in zip(true_sets, pred_sets):
-            has, got = lab in truth, lab in pred
-            tp += has and got
-            fp += got and not has
-            fn += has and not got
-        precision = tp / (tp + fp) if tp + fp else 0.0
-        recall = tp / (tp + fn) if tp + fn else 0.0
-        scores.append(2 * precision * recall / (precision + recall) if precision + recall else 0.0)
-    return float(np.mean(scores))
+    truth, pred = truth[:, present], pred[:, present]
+    tp = (truth & pred).sum(axis=0)
+    fp = (pred & ~truth).sum(axis=0)
+    fn = (truth & ~pred).sum(axis=0)
+    # tp = 0 wherever a denominator is 0, so dividing by 1 there gives the 0.
+    precision = tp / np.maximum(tp + fp, 1)
+    recall = tp / np.maximum(tp + fn, 1)
+    both = precision + recall
+    return float(np.mean(2 * precision * recall / np.where(both > 0, both, 1.0)))
 
 
 @dataclass
@@ -188,17 +185,18 @@ def split_nodes(n: int, ratio: float, rng: np.random.Generator) -> tuple[np.ndar
     return perm[:n_train], perm[n_train:]
 
 
-def node_classification_experiment(features: np.ndarray,
-                                   label_sets: Sequence[frozenset[int]],
-                                   num_labels: int,
+def node_classification_experiment(features: np.ndarray, targets: np.ndarray,
                                    config: EvalConfig) -> EvalReport:
-    """Repeated random-split evaluation over every configured train ratio."""
+    """Repeated random-split evaluation over every configured train ratio.
+
+    ``targets`` is the bool (N, L) multi-hot label matrix of the N feature rows.
+    """
     config.validate()
     x = np.asarray(features, dtype=np.float64)
-    n = len(label_sets)
+    n = len(targets)
     if x.shape[0] != n:
-        raise ValidationError(f"{x.shape[0]} feature rows for {n} label sets")
-    if any(not s for s in label_sets):
+        raise ValidationError(f"{x.shape[0]} feature rows for {n} label rows")
+    if not targets.any(axis=1).all():
         raise ValidationError("every evaluated node needs at least one label")
     if config.normalize:
         norms = np.linalg.norm(x, axis=1, keepdims=True)
@@ -211,11 +209,9 @@ def node_classification_experiment(features: np.ndarray,
             rng = np.random.default_rng(
                 np.random.SeedSequence([config.seed, ratio_idx, repeat]))
             train_idx, test_idx = split_nodes(n, ratio, rng)
-            classifier = train_ovr_logreg(x[train_idx],
-                                          [label_sets[i] for i in train_idx],
-                                          num_labels, config.l2_strength)
-            truth = [label_sets[i] for i in test_idx]
-            preds = predict_top_k(classifier, x[test_idx], [len(t) for t in truth])
+            classifier = train_ovr_logreg(x[train_idx], targets[train_idx], config.l2_strength)
+            truth = targets[test_idx]
+            preds = predict_top_k(classifier, x[test_idx], truth.sum(axis=1))
             repeat_scores.append(macro_f1(truth, preds))
         means.append(float(np.mean(repeat_scores)))
         stds.append(float(np.std(repeat_scores, ddof=1)) if len(repeat_scores) > 1 else 0.0)

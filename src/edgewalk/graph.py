@@ -87,35 +87,42 @@ class LabelVocabulary:
 
 @dataclass(frozen=True)
 class LabeledEdgeSet:
-    """Partition of edge indices into labeled and unlabeled parts.
+    """The labeled edges of a graph with ``num_edges`` edges, as arrays.
 
-    ``labeled`` maps an edge index to its non-empty set of label indices;
-    ``unlabeled`` is every other edge index, computed on access.
-    ``num_labels`` is the size of the vocabulary the label indices refer to.
+    ``edges`` holds the labeled edge indices, sorted ascending (int64);
+    row ``i`` of the bool multi-hot matrix ``targets`` marks the label
+    indices of ``edges[i]``, one column per vocabulary entry, at least one
+    set per row. Every other edge index is unlabeled.
     """
 
-    labeled: Mapping[int, frozenset[int]]
+    edges: np.ndarray
+    targets: np.ndarray
     num_edges: int
-    num_labels: int
 
     @property
     def num_labeled(self) -> int:
-        return len(self.labeled)
+        return len(self.edges)
 
     @property
-    def unlabeled(self) -> frozenset[int]:
-        return frozenset(range(self.num_edges)) - self.labeled.keys()
+    def num_labels(self) -> int:
+        return self.targets.shape[1]
 
 
 @dataclass(frozen=True)
 class NodeLabelSet:
-    """Per-node label sets over their own vocabulary (evaluation only)."""
+    """Per-node labels over their own vocabulary (evaluation only).
+
+    ``nodes`` holds the labeled node indices, sorted ascending (int64);
+    row ``i`` of the bool multi-hot matrix ``targets`` (one column per
+    ``vocab`` entry) marks the labels of ``nodes[i]``.
+    """
 
     vocab: LabelVocabulary
-    labels: Mapping[int, frozenset[int]]
+    nodes: np.ndarray
+    targets: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.labels)
+        return len(self.nodes)
 
 
 def load_edge_list(lines: Iterable[str]) -> Graph:
@@ -186,6 +193,19 @@ def _split_labels(field: str, n: int) -> list[str]:
     return labels
 
 
+def _label_arrays(pairs: list[tuple[int, str]]) -> tuple[LabelVocabulary, np.ndarray, np.ndarray]:
+    """(vocabulary, sorted distinct owners, bool multi-hot rows) from parsed
+    (owner index, label) pairs; the vocabulary is in first-seen order and
+    repeated pairs collapse."""
+    index: dict[str, int] = {}
+    columns = [index.setdefault(lab, len(index)) for _, lab in pairs]
+    owners = np.fromiter((owner for owner, _ in pairs), dtype=np.int64, count=len(pairs))
+    keys, rows = np.unique(owners, return_inverse=True)
+    targets = np.zeros((len(keys), len(index)), dtype=bool)
+    targets[rows, columns] = True
+    return LabelVocabulary(labels=tuple(index), index=index), _frozen(keys), _frozen(targets)
+
+
 def load_edge_labels(lines: Iterable[str], graph: Graph) -> tuple[LabelVocabulary, LabeledEdgeSet]:
     """Parse an edge-label stream against ``graph``.
 
@@ -193,9 +213,7 @@ def load_edge_labels(lines: Iterable[str], graph: Graph) -> tuple[LabelVocabular
     seen for an edge across lines; every other graph edge is unlabeled.
     The vocabulary is built from observed labels in first-seen order.
     """
-    vocab_index: dict[str, int] = {}
-    labeled: dict[int, set[int]] = {}
-
+    pairs: list[tuple[int, str]] = []
     for n, line in _data_lines(lines):
         fields = line.split()
         if len(fields) != 3:
@@ -209,16 +227,10 @@ def load_edge_labels(lines: Iterable[str], graph: Graph) -> tuple[LabelVocabular
         edge = graph.edge_index.get(key)
         if edge is None:
             raise ValidationError(f"line {n}: {src!r} {dst!r} is not an edge of the graph")
-        for lab in _split_labels(label_field, n):
-            labeled.setdefault(edge, set()).add(vocab_index.setdefault(lab, len(vocab_index)))
+        pairs.extend((edge, lab) for lab in _split_labels(label_field, n))
 
-    vocab = LabelVocabulary(labels=tuple(vocab_index), index=vocab_index)
-    labeled_frozen = {e: frozenset(labs) for e, labs in sorted(labeled.items())}
-    return vocab, LabeledEdgeSet(
-        labeled=labeled_frozen,
-        num_edges=graph.num_edges,
-        num_labels=len(vocab),
-    )
+    vocab, edges, targets = _label_arrays(pairs)
+    return vocab, LabeledEdgeSet(edges=edges, targets=targets, num_edges=graph.num_edges)
 
 
 def split_labeled_edges(
@@ -226,28 +238,23 @@ def split_labeled_edges(
 ) -> tuple[LabeledEdgeSet, LabeledEdgeSet]:
     """Randomly partition the labeled edges into train and validation parts.
 
-    The train part receives ``ceil(train_fraction * num_labeled)`` edges.
-    Deterministic for a fixed seed.
+    The train part receives ``ceil(train_fraction * num_labeled)`` edges;
+    both parts keep the ascending edge order. Deterministic for a fixed seed.
     """
     if not 0.0 < train_fraction <= 1.0:
         raise ConfigError(f"train_fraction must be in (0, 1], got {train_fraction}")
-    if not edge_set.labeled:
+    if not edge_set.num_labeled:
         raise ValidationError("cannot split an empty labeled edge set")
-    keys = sorted(edge_set.labeled)
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(len(keys))
-    n_train = math.ceil(train_fraction * len(keys))
-    train_keys = sorted(keys[i] for i in perm[:n_train])
-    val_keys = sorted(keys[i] for i in perm[n_train:])
+    perm = np.random.default_rng(seed).permutation(edge_set.num_labeled)
+    n_train = math.ceil(train_fraction * edge_set.num_labeled)
 
-    def subset(selected: list[int]) -> LabeledEdgeSet:
-        return LabeledEdgeSet(
-            labeled={e: edge_set.labeled[e] for e in selected},
-            num_edges=edge_set.num_edges,
-            num_labels=edge_set.num_labels,
-        )
+    def subset(rows: np.ndarray) -> LabeledEdgeSet:
+        rows = np.sort(rows)
+        return LabeledEdgeSet(edges=_frozen(edge_set.edges[rows]),
+                              targets=_frozen(edge_set.targets[rows]),
+                              num_edges=edge_set.num_edges)
 
-    return subset(train_keys), subset(val_keys)
+    return subset(perm[:n_train]), subset(perm[n_train:])
 
 
 def load_node_labels(
@@ -263,10 +270,8 @@ def load_node_labels(
     """
     if on_missing not in ("error", "skip"):
         raise ConfigError(f"on_missing must be 'error' or 'skip', got {on_missing!r}")
-    vocab_index: dict[str, int] = {}
-    labels: dict[int, set[int]] = {}
+    pairs: list[tuple[int, str]] = []
     skipped: list[str] = []
-
     for n, line in _data_lines(lines):
         fields = line.split()
         if len(fields) != 2:
@@ -278,9 +283,7 @@ def load_node_labels(
                 raise ValidationError(f"line {n}: unknown node {token!r}")
             skipped.append(token)
             continue
-        for lab in _split_labels(label_field, n):
-            labels.setdefault(node, set()).add(vocab_index.setdefault(lab, len(vocab_index)))
+        pairs.extend((node, lab) for lab in _split_labels(label_field, n))
 
-    vocab = LabelVocabulary(labels=tuple(vocab_index), index=vocab_index)
-    frozen = {v: frozenset(labs) for v, labs in sorted(labels.items())}
-    return NodeLabelSet(vocab=vocab, labels=frozen), skipped
+    vocab, nodes, targets = _label_arrays(pairs)
+    return NodeLabelSet(vocab=vocab, nodes=nodes, targets=targets), skipped

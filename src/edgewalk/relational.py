@@ -41,12 +41,6 @@ def init_mlp(input_dim: int, hidden_dim: int, output_dim: int,
     return MlpParams(weights=weights, biases=biases)
 
 
-def compose_edge_embedding(u: int, v: int, tables: EmbeddingTables) -> np.ndarray:
-    """Concatenate the center rows of min(u, v) and max(u, v)."""
-    lo, hi = (u, v) if u < v else (v, u)
-    return np.concatenate([tables.center[lo], tables.center[hi]])
-
-
 def compose_batch(edges: np.ndarray, tables: EmbeddingTables) -> tuple[np.ndarray, np.ndarray]:
     """Edge vectors for an (N, 2) index array; returns (vectors, canonical edges)."""
     edges = np.asarray(edges)

@@ -57,20 +57,6 @@ def sample_negatives(
     raise ValidationError("negative sampling failed to avoid the positive context")
 
 
-def softmax_distribution(v: int, tables: EmbeddingTables) -> np.ndarray:
-    """Full softmax over all context rows for center node v (reference path,
-    O(num_nodes); testing only, never used in training)."""
-    scores = tables.context @ tables.center[v]
-    scores = scores - scores.max()
-    e = np.exp(scores)
-    return e / e.sum()
-
-
-def softmax_prob(u: int, v: int, tables: EmbeddingTables) -> float:
-    """Reference probability of context u given center v under the full softmax."""
-    return float(softmax_distribution(v, tables)[u])
-
-
 def loss_and_grads(
     pairs: np.ndarray, negatives: np.ndarray, tables: EmbeddingTables
 ) -> tuple[float, SparseGrad]:

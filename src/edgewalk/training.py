@@ -81,13 +81,13 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.walk_length < 2:
             raise ConfigError(f"walk_length must be >= 2, got {self.walk_length}")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if not 0.0 < self.lr < math.inf:
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
         if not 0.0 <= self.validation_fraction < 1.0:
             raise ConfigError(
                 f"validation_fraction must be in [0, 1), got {self.validation_fraction}")
-        if self.noise_power < 0:
-            raise ConfigError(f"noise_power must be >= 0, got {self.noise_power}")
+        if not 0.0 <= self.noise_power < math.inf:
+            raise ConfigError(f"noise_power must be finite and >= 0, got {self.noise_power}")
         if self.dtype not in ("float64", "float32"):
             raise ConfigError(f"dtype must be float64 or float32, got {self.dtype!r}")
         if self.seed < 0:
@@ -169,21 +169,6 @@ def schedule_counts(batches_per_round: int, lambda_: float) -> tuple[int, int]:
     return n_structural, batches_per_round - n_structural
 
 
-def combined_loss(structural: float, relational_: float, lambda_: float) -> float:
-    """Reporting-only weighted total; optimization alternates per-part steps."""
-    return (1.0 - lambda_) * structural + lambda_ * relational_
-
-
-def _edge_arrays(edge_set: LabeledEdgeSet, graph: Graph, dtype):
-    """Labeled edges as (M, 2) endpoint indices plus (M, L) multi-hot targets."""
-    keys = sorted(edge_set.labeled)
-    endpoints = graph.edges[keys] if keys else np.empty((0, 2), dtype=np.int64)
-    targets = np.zeros((len(keys), edge_set.num_labels), dtype=dtype)
-    for i, e in enumerate(keys):
-        targets[i, sorted(edge_set.labeled[e])] = 1.0
-    return endpoints, targets
-
-
 def train(graph: Graph, labeled_edges: LabeledEdgeSet | None, config: TrainConfig,
           corpus: walks.WalkCorpus | None = None) -> TrainResult:
     """Run the joint training loop and return tables, classifier and report.
@@ -195,7 +180,7 @@ def train(graph: Graph, labeled_edges: LabeledEdgeSet | None, config: TrainConfi
     config.validate()
     seed = config.seed
     supervised = config.lambda_ > 0.0
-    if supervised and (labeled_edges is None or not labeled_edges.labeled):
+    if supervised and (labeled_edges is None or not labeled_edges.num_labeled):
         raise ConfigError("lambda > 0 requires a non-empty labeled edge set")
 
     dtype = np.dtype(config.dtype)
@@ -212,9 +197,9 @@ def train(graph: Graph, labeled_edges: LabeledEdgeSet | None, config: TrainConfi
                 labeled_edges, 1.0 - config.validation_fraction, _derive_seed(seed, _S_SPLIT))
         else:
             train_set, val_set = labeled_edges, None
-        train_edges, train_targets = _edge_arrays(train_set, graph, dtype)
-        if val_set is not None and val_set.labeled:
-            val_edges, val_targets = _edge_arrays(val_set, graph, dtype)
+        train_edges, train_targets = graph.edges[train_set.edges], train_set.targets.astype(dtype)
+        if val_set is not None and val_set.num_labeled:
+            val_edges, val_targets = graph.edges[val_set.edges], val_set.targets.astype(dtype)
 
     optimizer = AdamOptimizer(tables, mlp=mlp, lr=config.lr)
     n_structural, n_relational = schedule_counts(config.batches_per_round, config.lambda_)

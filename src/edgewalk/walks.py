@@ -72,23 +72,6 @@ def generate_walks(graph: Graph, walks_per_node: int, walk_length: int, seed: in
     return WalkCorpus(walks=walks, walks_per_node=walks_per_node, walk_length=walk_length, seed=seed)
 
 
-def extract_pairs(walk, window: int) -> list[tuple[int, int]]:
-    """Enumerate every (center, context) pair of a walk within ``window``.
-
-    For each position i, all (walk[i], walk[j]) with j != i and
-    |i - j| <= window, truncated at the ends of the walk.
-    """
-    if window < 1:
-        raise ConfigError(f"window must be >= 1, got {window}")
-    length = len(walk)
-    pairs = []
-    for i in range(length):
-        for j in range(max(i - window, 0), min(i + window, length - 1) + 1):
-            if j != i:
-                pairs.append((int(walk[i]), int(walk[j])))
-    return pairs
-
-
 def sample_pair_batch(
     corpus: WalkCorpus, window: int, batch_size: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -144,9 +127,12 @@ def read_walks(lines: Iterable[str], graph: Graph) -> WalkCorpus:
             continue
         if line.startswith("#"):
             if all(key in line for key in header_keys):
-                parts = dict(p.split("=", 1) for p in line[1:].split())
-                walks_per_node = int(parts["walks_per_node"])
-                seed = int(parts["seed"])
+                try:
+                    parts = dict(p.split("=", 1) for p in line[1:].split())
+                    walks_per_node = int(parts["walks_per_node"])
+                    seed = int(parts["seed"])
+                except (KeyError, ValueError):
+                    raise ParseError(f"bad walk file header {line!r}") from None
             continue
         try:
             rows.append([graph.index[token] for token in line.split()])

@@ -6,6 +6,8 @@ they check the vectorized implementations from outside.
 
 import numpy as np
 
+from edgewalk.errors import ConfigError
+
 FD_STEP = 1e-5
 
 
@@ -64,3 +66,57 @@ def macro_f1_brute_force(true_sets, pred_sets):
         r_j = tp[j] / (tp[j] + fn[j]) if tp[j] + fn[j] else 0.0
         f1[j] = 2 * p_j * r_j / (p_j + r_j) if p_j + r_j else 0.0
     return float(f1.mean())
+
+
+# Reference implementations of formulas the package computes only in
+# vectorized form; the tests check the vectorized paths against these.
+
+
+def softmax_distribution(v, tables):
+    """Full softmax over all context rows for center node v (O(num_nodes))."""
+    scores = tables.context @ tables.center[v]
+    scores = scores - scores.max()
+    e = np.exp(scores)
+    return e / e.sum()
+
+
+def softmax_prob(u, v, tables):
+    """Probability of context u given center v under the full softmax."""
+    return float(softmax_distribution(v, tables)[u])
+
+
+def extract_pairs(walk, window):
+    """Enumerate every (center, context) pair of a walk within ``window``.
+
+    For each position i, all (walk[i], walk[j]) with j != i and
+    |i - j| <= window, truncated at the ends of the walk.
+    """
+    if window < 1:
+        raise ConfigError(f"window must be >= 1, got {window}")
+    length = len(walk)
+    pairs = []
+    for i in range(length):
+        for j in range(max(i - window, 0), min(i + window, length - 1) + 1):
+            if j != i:
+                pairs.append((int(walk[i]), int(walk[j])))
+    return pairs
+
+
+def compose_edge_embedding(u, v, tables):
+    """Concatenate the center rows of min(u, v) and max(u, v)."""
+    lo, hi = (u, v) if u < v else (v, u)
+    return np.concatenate([tables.center[lo], tables.center[hi]])
+
+
+def combined_loss(structural, relational_, lambda_):
+    """Weighted total (1 - lambda) * structural + lambda * relational."""
+    return (1.0 - lambda_) * structural + lambda_ * relational_
+
+
+def top_k_reference(scores, k_per_node):
+    """Per row, the k labels with the highest scores, ties to the lower index."""
+    picks = []
+    for row, k in zip(scores, k_per_node):
+        ranked = sorted(range(len(row)), key=lambda j: (-row[j], j))
+        picks.append(frozenset(ranked[:k]))
+    return picks

@@ -22,12 +22,18 @@ from edgewalk.evaluation import (
 )
 from edgewalk.params import EmbeddingTables
 from edgewalk.relational import init_mlp, relational_backward, relational_loss
-from edgewalk.structural import loss_and_grads, softmax_distribution
+from edgewalk.structural import loss_and_grads
 from edgewalk.synth import generate_planted_partition
 from edgewalk.training import EarlyStopTracker, TrainConfig, schedule_counts, train
 
-from helpers import load_synth
-from oracles import finite_difference, macro_f1_brute_force, relative_error, scatter_rows
+from helpers import load_synth, multi_hot
+from oracles import (
+    finite_difference,
+    macro_f1_brute_force,
+    relative_error,
+    scatter_rows,
+    softmax_distribution,
+)
 
 
 def announce(number, ok, detail):
@@ -62,11 +68,9 @@ def experiment_scores(graph_seed, lambda_, label_fraction, dim, lr, max_rounds):
     graph, _, labeled, node_labels = synth_inputs(graph_seed, label_fraction)
     config = desk_config(lambda_=lambda_, dim=dim, lr=lr, max_rounds=max_rounds)
     result = train(graph, labeled if lambda_ > 0 else None, config)
-    rows = sorted(node_labels.labels)
     report = node_classification_experiment(
-        result.tables.center[rows],
-        [node_labels.labels[r] for r in rows],
-        len(node_labels.vocab),
+        result.tables.center[node_labels.nodes],
+        node_labels.targets,
         EvalConfig(train_ratios=(0.05,), repeats=10, seed=1),
     )
     return tuple(report.scores[0])
@@ -283,7 +287,8 @@ def test_criterion_8_evaluation_harness_oracle():
                                       replace=False).tolist()) for _ in range(n)]
         preds = [frozenset(rng.choice(6, size=rng.integers(0, 4),
                                       replace=False).tolist()) for _ in range(n)]
-        exact &= macro_f1(truth, preds) == macro_f1_brute_force(truth, preds)
+        exact &= macro_f1(multi_hot(truth, 6), multi_hot(preds, 6)) == \
+            macro_f1_brute_force(truth, preds)
 
     worst_gap = 0.0
     for _ in range(10):

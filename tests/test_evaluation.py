@@ -19,7 +19,14 @@ from edgewalk.evaluation import (
     _logreg_objective,
 )
 
-from oracles import macro_f1_brute_force
+from helpers import label_sets, multi_hot
+from oracles import macro_f1_brute_force, top_k_reference
+
+
+def f1_of_sets(truth, preds):
+    """macro_f1 of two lists of label sets, converted to multi-hot at the call."""
+    width = 1 + max((lab for s in truth + preds for lab in s), default=0)
+    return macro_f1(multi_hot(truth, width), multi_hot(preds, width))
 
 
 # logistic regression ----------------------------------------------------------
@@ -73,7 +80,7 @@ def test_ovr_skips_degenerate_labels(caplog):
     x = np.random.default_rng(3).normal(size=(10, 2))
     sets = [frozenset({0}) for _ in range(10)]  # label 0 all-positive, label 1 absent
     with caplog.at_level(logging.WARNING):
-        clf = train_ovr_logreg(x, sets, num_labels=2, l2_strength=1.0)
+        clf = train_ovr_logreg(x, multi_hot(sets, 2), l2_strength=1.0)
     assert clf.skipped_labels == [0, 1]
     assert not clf.trained.any()
     assert "skipped" in caplog.text
@@ -83,9 +90,9 @@ def test_ovr_trains_each_viable_label():
     rng = np.random.default_rng(4)
     x = np.vstack([rng.normal(loc=-2, size=(20, 2)), rng.normal(loc=2, size=(20, 2))])
     sets = [frozenset({0})] * 20 + [frozenset({1})] * 20
-    clf = train_ovr_logreg(x, sets, num_labels=2, l2_strength=1.0)
+    clf = train_ovr_logreg(x, multi_hot(sets, 2), l2_strength=1.0)
     assert clf.trained.all()
-    preds = predict_top_k(clf, x, [1] * 40)
+    preds = label_sets(predict_top_k(clf, x, [1] * 40))
     agreement = np.mean([p == t for p, t in zip(preds, sets)])
     assert agreement > 0.9
 
@@ -104,19 +111,29 @@ def scores_classifier(score_rows):
 
 def test_top_k_selects_highest_scores():
     clf, x = scores_classifier([[0.9, 0.1, 0.5]])
-    assert predict_top_k(clf, x, [2]) == [frozenset({0, 2})]
+    assert label_sets(predict_top_k(clf, x, [2])) == [frozenset({0, 2})]
 
 
 def test_top_k_equal_to_label_count_returns_all():
     clf, x = scores_classifier([[0.2, 0.4, 0.1]])
-    assert predict_top_k(clf, x, [3]) == [frozenset({0, 1, 2})]
+    assert label_sets(predict_top_k(clf, x, [3])) == [frozenset({0, 1, 2})]
 
 
 def test_top_k_tie_breaks_to_lower_index():
     clf, x = scores_classifier([[0.5, 0.5, 0.5]])
-    assert predict_top_k(clf, x, [1]) == [frozenset({0})]
+    assert label_sets(predict_top_k(clf, x, [1])) == [frozenset({0})]
     clf, x = scores_classifier([[0.1, 0.7, 0.7]])
-    assert predict_top_k(clf, x, [1]) == [frozenset({1})]
+    assert label_sets(predict_top_k(clf, x, [1])) == [frozenset({1})]
+
+
+def test_top_k_matches_sorted_reference():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        n, num_labels = int(rng.integers(1, 8)), int(rng.integers(1, 7))
+        scores = rng.integers(0, 3, size=(n, num_labels)).astype(float)  # many ties
+        k = rng.integers(0, num_labels + 1, size=n)
+        clf, x = scores_classifier(scores)
+        assert label_sets(predict_top_k(clf, x, k)) == top_k_reference(scores, k)
 
 
 # macro F1 ----------------------------------------------------------------------
@@ -124,32 +141,32 @@ def test_top_k_tie_breaks_to_lower_index():
 
 def test_macro_f1_perfect():
     sets = [frozenset({0}), frozenset({1, 2}), frozenset({0, 2})]
-    assert macro_f1(sets, sets) == 1.0
+    assert f1_of_sets(sets, sets) == 1.0
 
 
 def test_macro_f1_hand_case():
     # Label A: TP=1 FP=1 FN=0 -> F1 = 2/3; label B: TP=1 FP=0 FN=1 -> F1 = 2/3.
     truth = [frozenset({0}), frozenset({1}), frozenset({1})]
     preds = [frozenset({0}), frozenset({0, 1}), frozenset()]
-    assert macro_f1(truth, preds) == pytest.approx(2 / 3)
+    assert f1_of_sets(truth, preds) == pytest.approx(2 / 3)
 
 
 def test_macro_f1_empty_predictions():
     truth = [frozenset({0}), frozenset({1})]
     preds = [frozenset(), frozenset()]
-    assert macro_f1(truth, preds) == 0.0
+    assert f1_of_sets(truth, preds) == 0.0
 
 
 def test_macro_f1_ignores_labels_absent_from_truth():
     truth = [frozenset({0}), frozenset({0})]
     preds = [frozenset({0}), frozenset({5})]  # label 5 never in truth
     # Label 0: TP=1, FN=1, FP=0 -> F1 = 2/3; label 5 not averaged.
-    assert macro_f1(truth, preds) == pytest.approx(2 / 3)
+    assert f1_of_sets(truth, preds) == pytest.approx(2 / 3)
 
 
 def test_macro_f1_length_mismatch():
     with pytest.raises(ValidationError):
-        macro_f1([frozenset({0})], [])
+        macro_f1(multi_hot([frozenset({0})], 1), multi_hot([], 1))
 
 
 @st.composite
@@ -164,16 +181,16 @@ def label_set_pairs(draw):
 @given(label_set_pairs())
 def test_macro_f1_matches_brute_force_oracle(pair):
     truth, preds = pair
-    assert macro_f1(truth, preds) == pytest.approx(macro_f1_brute_force(truth, preds),
-                                                   abs=1e-12)
+    assert f1_of_sets(truth, preds) == pytest.approx(macro_f1_brute_force(truth, preds),
+                                                     abs=1e-12)
 
 
 @given(label_set_pairs(), st.permutations(list(range(7))))
 def test_macro_f1_label_permutation_invariance(pair, perm):
     truth, preds = pair
     remap = lambda sets: [frozenset(perm[i] for i in s) for s in sets]
-    assert macro_f1(truth, preds) == pytest.approx(macro_f1(remap(truth), remap(preds)),
-                                                   abs=1e-12)
+    assert f1_of_sets(truth, preds) == pytest.approx(f1_of_sets(remap(truth), remap(preds)),
+                                                     abs=1e-12)
 
 
 def test_macro_f1_thousand_random_sets_exact():
@@ -184,16 +201,16 @@ def test_macro_f1_thousand_random_sets_exact():
                  for _ in range(n)]
         preds = [frozenset(rng.choice(6, size=rng.integers(0, 4), replace=False).tolist())
                  for _ in range(n)]
-        assert macro_f1(truth, preds) == macro_f1_brute_force(truth, preds)
+        assert f1_of_sets(truth, preds) == macro_f1_brute_force(truth, preds)
 
 
 def test_macro_f1_degrades_as_predictions_corrupt():
     truth = [frozenset({i % 3}) for i in range(9)]
     preds = list(truth)
-    last = macro_f1(truth, preds)
+    last = f1_of_sets(truth, preds)
     for i in range(9):
         preds[i] = frozenset({(i + 1) % 3})
-        score = macro_f1(truth, preds)
+        score = f1_of_sets(truth, preds)
         assert score <= last + 1e-12
         last = score
 
@@ -228,8 +245,8 @@ def test_split_nodes_degenerate_ratio():
 def test_experiment_shape_and_determinism():
     x, sets = community_features()
     cfg = EvalConfig(train_ratios=(0.2, 0.5), repeats=3, seed=5)
-    a = node_classification_experiment(x, sets, 3, cfg)
-    b = node_classification_experiment(x, sets, 3, cfg)
+    a = node_classification_experiment(x, multi_hot(sets, 3), cfg)
+    b = node_classification_experiment(x, multi_hot(sets, 3), cfg)
     assert a.ratios == (0.2, 0.5)
     assert len(a.means) == 2 and len(a.stds) == 2
     assert all(len(s) == 3 for s in a.scores)
@@ -242,7 +259,7 @@ def test_experiment_beats_label_permutation_baseline():
     # the permutation distribution of the achieved predictions.
     x, sets = community_features()
     cfg = EvalConfig(train_ratios=(0.5,), repeats=2, seed=2)
-    report = node_classification_experiment(x, sets, 3, cfg)
+    report = node_classification_experiment(x, multi_hot(sets, 3), cfg)
     achieved = report.means[0]
 
     rng = np.random.default_rng(3)
@@ -250,7 +267,7 @@ def test_experiment_beats_label_permutation_baseline():
     baseline = []
     for _ in range(200):
         shuffled = [sets[i] for i in rng.permutation(n)]
-        baseline.append(macro_f1(sets, shuffled))
+        baseline.append(f1_of_sets(sets, shuffled))
     assert achieved > np.quantile(baseline, 0.99)
 
 
@@ -258,14 +275,14 @@ def test_experiment_rejects_unlabeled_nodes():
     x, sets = community_features(n_per=5)
     sets[0] = frozenset()
     with pytest.raises(ValidationError):
-        node_classification_experiment(x, sets, 3, EvalConfig(train_ratios=(0.5,),
-                                                              repeats=1))
+        node_classification_experiment(x, multi_hot(sets, 3),
+                                       EvalConfig(train_ratios=(0.5,), repeats=1))
 
 
 def test_experiment_normalize_flag():
     x, sets = community_features(n_per=10)
     cfg = EvalConfig(train_ratios=(0.5,), repeats=2, seed=1, normalize=True)
-    report = node_classification_experiment(x * 100, sets, 3, cfg)
+    report = node_classification_experiment(x * 100, multi_hot(sets, 3), cfg)
     assert report.means[0] > 0.8
 
 
@@ -290,7 +307,7 @@ def test_eval_config_validation():
 def test_report_table_and_tsv():
     x, sets = community_features(n_per=10)
     cfg = EvalConfig(train_ratios=(0.5,), repeats=2, seed=1)
-    report = node_classification_experiment(x, sets, 3, cfg)
+    report = node_classification_experiment(x, multi_hot(sets, 3), cfg)
     table = report.format_table()
     assert "macro_f1_mean" in table
     buf = io.StringIO()

@@ -12,6 +12,16 @@ from edgewalk.graph import (
     write_edge_list,
 )
 
+from helpers import labeled_sets
+
+
+def labeled(edge_set):
+    return labeled_sets(edge_set.edges, edge_set.targets)
+
+
+def unlabeled(edge_set):
+    return set(range(edge_set.num_edges)) - set(edge_set.edges.tolist())
+
 
 def test_basic_load():
     g = load_edge_list(["a b", "b c"])
@@ -101,17 +111,17 @@ def test_edge_labels_basic():
     assert len(vocab) == 2
     assert vocab.labels == ("t1", "t2")
     edge_ab = g.edge_index[(g.index["a"], g.index["b"])]
-    assert labels.labeled == {edge_ab: frozenset({0, 1})}
-    assert labels.unlabeled == {g.edge_index[(min(g.index["b"], g.index["c"]),
-                                              max(g.index["b"], g.index["c"]))]}
+    assert labeled(labels) == {edge_ab: frozenset({0, 1})}
+    assert unlabeled(labels) == {g.edge_index[(min(g.index["b"], g.index["c"]),
+                                               max(g.index["b"], g.index["c"]))]}
 
 
 def test_edge_labels_empty_stream():
     g = two_edge_graph()
     vocab, labels = load_edge_labels([], g)
     assert len(vocab) == 0
-    assert labels.labeled == {}
-    assert labels.unlabeled == frozenset(range(g.num_edges))
+    assert labeled(labels) == {}
+    assert unlabeled(labels) == frozenset(range(g.num_edges))
 
 
 def test_edge_labels_non_edge_rejected():
@@ -129,7 +139,7 @@ def test_edge_labels_unknown_node_rejected():
 def test_edge_labels_union_across_lines():
     g = two_edge_graph()
     _, labels = load_edge_labels(["a b t1", "b a t2", "a b t1"], g)
-    (label_set,) = labels.labeled.values()
+    (label_set,) = labeled(labels).values()
     assert label_set == frozenset({0, 1})
 
 
@@ -142,9 +152,22 @@ def test_edge_labels_empty_label_rejected():
 def test_edge_labels_partition_invariant():
     g = load_edge_list(["a b", "b c", "c d", "d a", "a c"])
     _, labels = load_edge_labels(["a b x", "c d y,z"], g)
-    assert set(labels.labeled) | set(labels.unlabeled) == set(range(g.num_edges))
-    assert set(labels.labeled) & set(labels.unlabeled) == set()
-    assert len(labels.labeled) + len(labels.unlabeled) == g.num_edges
+    assert set(labeled(labels)) | unlabeled(labels) == set(range(g.num_edges))
+    assert set(labeled(labels)) & unlabeled(labels) == set()
+    assert len(labeled(labels)) + len(unlabeled(labels)) == g.num_edges
+
+
+def test_label_sets_are_sorted_multi_hot_arrays():
+    g = load_edge_list(["a b", "b c", "c d", "d a", "a c"])
+    _, labels = load_edge_labels(["c d y,z", "a b x", "a c z"], g)
+    assert labels.edges.dtype == np.int64 and labels.targets.dtype == bool
+    assert labels.edges.tolist() == sorted(labels.edges.tolist())
+    assert labels.targets.shape == (3, 3) == (labels.num_labeled, labels.num_labels)
+    assert labels.targets.any(axis=1).all()
+    node_set, _ = load_node_labels(["d q", "a p,q"], g.index)
+    assert node_set.nodes.tolist() == sorted(node_set.nodes.tolist())
+    assert node_set.targets.dtype == bool
+    assert node_set.targets.shape == (2, len(node_set.vocab))
 
 
 # split ----------------------------------------------------------------------
@@ -160,32 +183,33 @@ def ten_labeled_edges():
 def test_split_sizes():
     labels = ten_labeled_edges()
     train, val = split_labeled_edges(labels, 0.9, seed=7)
-    assert len(train.labeled) == 9
-    assert len(val.labeled) == 1
+    assert train.num_labeled == 9
+    assert val.num_labeled == 1
 
 
 def test_split_full_fraction_gives_empty_validation():
     labels = ten_labeled_edges()
     train, val = split_labeled_edges(labels, 1.0, seed=7)
-    assert len(train.labeled) == 10
-    assert len(val.labeled) == 0
+    assert train.num_labeled == 10
+    assert val.num_labeled == 0
 
 
 def test_split_deterministic():
     labels = ten_labeled_edges()
     a = split_labeled_edges(labels, 0.7, seed=13)
     b = split_labeled_edges(labels, 0.7, seed=13)
-    assert a[0].labeled == b[0].labeled
-    assert a[1].labeled == b[1].labeled
+    assert labeled(a[0]) == labeled(b[0])
+    assert labeled(a[1]) == labeled(b[1])
 
 
 def test_split_is_partition():
     labels = ten_labeled_edges()
     train, val = split_labeled_edges(labels, 0.6, seed=3)
-    assert set(train.labeled) | set(val.labeled) == set(labels.labeled)
-    assert set(train.labeled) & set(val.labeled) == set()
+    assert set(labeled(train)) | set(labeled(val)) == set(labeled(labels))
+    assert set(labeled(train)) & set(labeled(val)) == set()
     for half in (train, val):
-        assert half.unlabeled == set(range(labels.num_edges)) - set(half.labeled)
+        assert half.num_edges == labels.num_edges
+        assert labeled(half).items() <= labeled(labels).items()
 
 
 def test_split_bad_fraction():
@@ -210,8 +234,9 @@ def test_node_labels_basic():
     label_set, skipped = load_node_labels(["a red", "b red,blue"], g.index)
     assert skipped == []
     assert label_set.vocab.labels == ("red", "blue")
-    assert label_set.labels[g.index["a"]] == frozenset({0})
-    assert label_set.labels[g.index["b"]] == frozenset({0, 1})
+    node_sets = labeled_sets(label_set.nodes, label_set.targets)
+    assert node_sets[g.index["a"]] == frozenset({0})
+    assert node_sets[g.index["b"]] == frozenset({0, 1})
 
 
 def test_node_labels_unknown_node_error_and_skip():

@@ -41,6 +41,8 @@ def test_embedding_header_errors():
         read_embeddings(io.StringIO("a b\nA 0.5 0.5\n"))  # non-numeric header
     with pytest.raises(ParseError):
         read_embeddings(io.StringIO("1 2\nA 0.5 x\n"))  # non-numeric value
+    with pytest.raises(ParseError, match="99999999999"):
+        read_embeddings(io.StringIO("99999999999 99999999999\nA 0.5\n"))  # unallocatable
 
 
 # CLI fixtures -------------------------------------------------------------------
@@ -184,7 +186,27 @@ def test_walk_cache_mismatch_refused(synth_dir, tmp_path, capsys, flag):
     assert not (out / "manifest.json").exists()
 
 
-@pytest.mark.parametrize("text", ['{"dim": 4,', '{"dim": "x"}'])
+@pytest.mark.parametrize("header", ["# walks_per_node=x walk_length=4 seed=1",
+                                    "# walks_per_node=2 walk_length=4 seed=1 junk"])
+def test_walk_cache_bad_header_is_an_error(synth_dir, tmp_path, capsys, header):
+    cache = tmp_path / "walks.txt"
+    assert run_train(synth_dir, tmp_path / "a", "--walk-cache", str(cache)) == 0
+    cache.write_text(header + "\n" + cache.read_text().split("\n", 1)[1])
+    rc = run_train(synth_dir, tmp_path / "b", "--walk-cache", str(cache))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+# One-step skip-gram runs: a NaN lr let through finishes one with exit 0 and
+# all-NaN embeddings, before any loss can turn non-finite.
+ONE_STEP = '"lambda_": 0.0, "unsupervised_rounds": 1, "walks_per_node": 1, "walk_length": 2'
+
+
+@pytest.mark.parametrize("text", ['{"dim": 4,', '{"dim": "x"}',
+                                  '{"lr": NaN, %s}' % ONE_STEP,
+                                  '{"noise_power": Infinity, %s}' % ONE_STEP])
 def test_bad_config_file_is_an_error(synth_dir, tmp_path, capsys, text):
     config_path = tmp_path / "cfg.json"
     config_path.write_text(text)

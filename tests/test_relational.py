@@ -9,14 +9,13 @@ from edgewalk.relational import (
     MlpParams,
     bce_loss,
     compose_batch,
-    compose_edge_embedding,
     init_mlp,
     mlp_forward,
     relational_backward,
     relational_loss,
 )
 
-from oracles import finite_difference, relative_error, scatter_rows
+from oracles import compose_edge_embedding, finite_difference, relative_error, scatter_rows
 
 
 def random_tables(rng, num_nodes, dim, scale=0.6):

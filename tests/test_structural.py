@@ -10,12 +10,16 @@ from edgewalk.structural import (
     NoiseDistribution,
     loss_and_grads,
     sample_negatives,
-    softmax_distribution,
-    softmax_prob,
 )
 from edgewalk.walks import generate_walks, sample_pair_batch
 
-from oracles import finite_difference, relative_error, scatter_rows
+from oracles import (
+    finite_difference,
+    relative_error,
+    scatter_rows,
+    softmax_distribution,
+    softmax_prob,
+)
 
 
 def random_tables(rng, num_nodes, dim, scale=0.8):

@@ -20,7 +20,7 @@ def test_full_label_fraction_labels_everything():
     ds = generate_planted_partition(3, 10, 0.5, 0.05, label_fraction=1.0, seed=1)
     graph, _, labeled, _ = load_synth(ds)
     assert labeled.num_labeled == graph.num_edges
-    assert not labeled.unlabeled
+    assert labeled.edges.tolist() == list(range(graph.num_edges))  # none unlabeled
 
 
 def test_deterministic_files():

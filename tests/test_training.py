@@ -9,12 +9,12 @@ from edgewalk.graph import load_edge_list
 from edgewalk.training import (
     EarlyStopTracker,
     TrainConfig,
-    combined_loss,
     schedule_counts,
     train,
 )
 
 from helpers import toy_community_inputs
+from oracles import combined_loss
 
 
 def small_config(**overrides):
@@ -70,6 +70,11 @@ def test_config_validation_errors():
         TrainConfig(dtype="float16").validate()
     with pytest.raises(ConfigError):
         TrainConfig(seed=-1).validate()
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ConfigError):
+            TrainConfig(lr=bad).validate()
+        with pytest.raises(ConfigError):
+            TrainConfig(noise_power=bad).validate()
 
 
 def test_config_round_trip_and_unknown_keys():

@@ -138,8 +138,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     if cache is not None and corpus is None:
         corpus = generate_walks(graph, config.walks_per_node, config.walk_length,
                                 walk_seed(config.seed))
-        with open(cache, "w") as fh:
+        partial = cache.with_name(cache.name + ".tmp")
+        with open(partial, "w") as fh:
             write_walks(corpus, graph, fh)
+        os.replace(partial, cache)
         log.info("walk corpus cached to %s", cache)
 
     result = train(graph, labeled, config, corpus=corpus)

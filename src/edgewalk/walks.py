@@ -2,9 +2,9 @@
 
 Walks are uniform first-order random walks: each step moves to a uniformly
 random neighbor of the current node. Every node starts the same number of
-walks, and each walk draws from its own seeded substream keyed by
-(seed, start node, walk index), so corpora are reproducible and walk
-generation can be parallelized without coordination.
+walks, and all walks advance in lockstep on one generator seeded by
+``SeedSequence(seed)``: step by step, one uniform per walk in row order,
+so a corpus is a function of (graph, walks per node, length, seed).
 """
 
 from __future__ import annotations
@@ -44,7 +44,9 @@ def generate_walks(graph: Graph, walks_per_node: int, walk_length: int, seed: in
     """Start ``walks_per_node`` uniform random walks of ``walk_length`` nodes
     from every node of ``graph``.
 
-    Walk (v, k) is row ``v * walks_per_node + k`` of the result.
+    Walk (v, k) is row ``v * walks_per_node + k`` of the result. Step ``s``
+    draws ``u = rng.random(num_walks)``, one float per row in row order, and
+    moves each walk to neighbor ``floor(u * degree)`` of its current node.
     """
     if walks_per_node < 1:
         raise ConfigError(f"walks_per_node must be >= 1, got {walks_per_node}")
@@ -54,20 +56,14 @@ def generate_walks(graph: Graph, walks_per_node: int, walk_length: int, seed: in
     if graph.num_nodes == 0 or (degrees == 0).any():
         raise ValidationError("walk generation requires every node to have degree >= 1")
 
-    indptr, indices = graph.adj_indptr, graph.adj_indices
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
     walks = np.empty((graph.num_nodes * walks_per_node, walk_length), dtype=np.int64)
-    for start in range(graph.num_nodes):
-        for k in range(walks_per_node):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, start, k]))
-            # One float per step; floor(u * degree) picks a uniform neighbor.
-            draws = rng.random(walk_length - 1)
-            row = walks[start * walks_per_node + k]
-            row[0] = cur = start
-            for step in range(1, walk_length):
-                lo = indptr[cur]
-                deg = indptr[cur + 1] - lo
-                cur = indices[lo + int(draws[step - 1] * deg)]
-                row[step] = cur
+    cur = np.repeat(np.arange(graph.num_nodes, dtype=np.int64), walks_per_node)
+    walks[:, 0] = cur
+    for step in range(1, walk_length):
+        u = rng.random(len(walks))
+        cur = graph.adj_indices[graph.adj_indptr[cur] + (u * degrees[cur]).astype(np.int64)]
+        walks[:, step] = cur
     walks.setflags(write=False)
     return WalkCorpus(walks=walks, walks_per_node=walks_per_node, walk_length=walk_length, seed=seed)
 
@@ -115,7 +111,9 @@ def read_walks(lines: Iterable[str], graph: Graph) -> WalkCorpus:
     """Load a walk corpus dumped by :func:`write_walks`.
 
     The header comment is optional; without it, walks_per_node is inferred
-    and the recorded seed is -1 (unknown provenance).
+    from the row count and the recorded seed is -1 (unknown provenance).
+    Row ``v * walks_per_node + k`` must start at node ``v``, so a short or
+    reordered file is a :class:`ParseError`.
     """
     walks_per_node = -1
     seed = -1
@@ -144,8 +142,11 @@ def read_walks(lines: Iterable[str], graph: Graph) -> WalkCorpus:
     if any(len(r) != length for r in rows):
         raise ParseError("walk file mixes walk lengths")
     if walks_per_node < 0:
-        starts = len({r[0] for r in rows})
-        walks_per_node = max(1, len(rows) // max(starts, 1))
+        walks_per_node = len(rows) // graph.num_nodes
     walks = np.asarray(rows, dtype=np.int64)
+    starts = np.repeat(np.arange(graph.num_nodes), walks_per_node)
+    if len(walks) != len(starts) or (walks[:, 0] != starts).any():
+        raise ParseError(f"walk file is not {walks_per_node} walks per node in node order "
+                         f"({len(walks)} walks for {graph.num_nodes} nodes)")
     walks.setflags(write=False)
     return WalkCorpus(walks=walks, walks_per_node=walks_per_node, walk_length=length, seed=seed)

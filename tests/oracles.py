@@ -102,6 +102,28 @@ def extract_pairs(walk, window):
     return pairs
 
 
+def walks_reference(graph, walks_per_node, walk_length, seed):
+    """Uniform walks stepped one walk and one node at a time.
+
+    Consumes the draws ``generate_walks`` documents: one generator from
+    ``SeedSequence(seed)``, and for each step one uniform per walk in row
+    order, so walk ``row`` takes ``draws[step - 1][row]`` at ``step``.
+    """
+    num_walks = graph.num_nodes * walks_per_node
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    draws = [rng.random(num_walks) for _ in range(walk_length - 1)]
+    walks = []
+    for row in range(num_walks):
+        cur = row // walks_per_node
+        walk = [cur]
+        for step in range(1, walk_length):
+            neighbors = graph.neighbors(cur)
+            cur = int(neighbors[int(draws[step - 1][row] * len(neighbors))])
+            walk.append(cur)
+        walks.append(walk)
+    return np.array(walks, dtype=np.int64)
+
+
 def compose_edge_embedding(u, v, tables):
     """Concatenate the center rows of min(u, v) and max(u, v)."""
     lo, hi = (u, v) if u < v else (v, u)

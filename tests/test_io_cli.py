@@ -199,6 +199,25 @@ def test_walk_cache_bad_header_is_an_error(synth_dir, tmp_path, capsys, header):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("edit", ["short", "shuffled"])
+def test_walk_cache_out_of_layout_is_an_error(synth_dir, tmp_path, capsys, edit):
+    # A killed writer can leave a short cache; neither it nor a reordered one
+    # matches the walks-per-node layout its header claims.
+    cache = tmp_path / "walks.txt"
+    assert run_train(synth_dir, tmp_path / "a", "--walk-cache", str(cache)) == 0
+    assert [p.name for p in tmp_path.iterdir() if p.is_file()] == ["walks.txt"]
+    header, *rows = cache.read_text().splitlines()
+    rows = rows[:1] if edit == "short" else rows[1:] + rows[:1]
+    cache.write_text("\n".join([header, *rows]) + "\n")
+    out = tmp_path / "b"
+    rc = run_train(synth_dir, out, "--walk-cache", str(cache))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "walks per node" in err
+    assert not (out / "manifest.json").exists()
+
+
 # One-step skip-gram runs: a NaN lr let through finishes one with exit 0 and
 # all-NaN embeddings, before any loss can turn non-finite.
 ONE_STEP = '"lambda_": 0.0, "unsupervised_rounds": 1, "walks_per_node": 1, "walk_length": 2'

@@ -47,6 +47,7 @@ def test_compose_concatenates():
     tables = EmbeddingTables(center=np.array([[1.0, 2.0], [3.0, 4.0]]),
                              context=np.zeros((2, 2)))
     assert compose_edge_embedding(0, 1, tables).tolist() == [1.0, 2.0, 3.0, 4.0]
+    assert compose_batch(np.array([[1, 0]]), tables)[0].tolist() == [[1.0, 2.0, 3.0, 4.0]]
 
 
 def test_compose_symmetric():
@@ -57,11 +58,16 @@ def test_compose_symmetric():
             if u != v:
                 assert np.array_equal(compose_edge_embedding(u, v, tables),
                                       compose_edge_embedding(v, u, tables))
+    pairs = np.array([(u, v) for u in range(6) for v in range(6) if u != v])
+    forward, _ = compose_batch(pairs, tables)
+    backward, _ = compose_batch(pairs[:, ::-1], tables)
+    assert np.array_equal(forward, backward)
 
 
 def test_compose_length_default_dim():
     tables = init_embeddings(3, 128, seed=0)
     assert compose_edge_embedding(0, 2, tables).shape == (256,)
+    assert compose_batch(np.array([[0, 2], [2, 1]]), tables)[0].shape == (2, 256)
 
 
 # forward ----------------------------------------------------------------------

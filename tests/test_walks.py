@@ -6,10 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
+from edgewalk.errors import ParseError
 from edgewalk.graph import load_edge_list
-from edgewalk.walks import generate_walks, read_walks, sample_pair_batch, write_walks
+from edgewalk.walks import WalkCorpus, generate_walks, read_walks, sample_pair_batch, write_walks
 
-from oracles import extract_pairs
+from oracles import extract_pairs, walks_reference
 
 
 def path_graph():
@@ -22,6 +23,24 @@ def triangle():
 
 def star(leaves=4):
     return load_edge_list([f"hub leaf{i}" for i in range(leaves)])
+
+
+def random_connected_graph(rng, num_nodes, extra_edges):
+    """A random spanning tree plus ``extra_edges`` random chords."""
+    lines = [f"n{v} n{rng.integers(v)}" for v in range(1, num_nodes)]
+    chords = rng.integers(num_nodes, size=(extra_edges, 2))
+    lines += [f"n{u} n{v}" for u, v in chords if u != v]
+    return load_edge_list(lines)
+
+
+def one_walk_corpus(walk):
+    return WalkCorpus(walks=np.array([walk], dtype=np.int64), walks_per_node=1,
+                      walk_length=len(walk), seed=0)
+
+
+def assert_sampler_draws_within(walk, window, pairs):
+    batch = sample_pair_batch(one_walk_corpus(walk), window, 200, np.random.default_rng(0))
+    assert set(map(tuple, batch.tolist())) <= set(pairs)
 
 
 def test_degree_one_chain_forced():
@@ -62,6 +81,28 @@ def test_walks_deterministic_per_seed():
     assert not np.array_equal(a.walks, c.walks)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_walks_match_reference_on_random_graphs(seed):
+    rng = np.random.default_rng(seed)
+    num_nodes = int(rng.integers(5, 40))
+    g = random_connected_graph(rng, num_nodes, extra_edges=int(rng.integers(0, 3 * num_nodes)))
+    corpus = generate_walks(g, walks_per_node=3, walk_length=9, seed=seed)
+    assert np.array_equal(corpus.walks, walks_reference(g, 3, 9, seed))
+
+
+@pytest.mark.parametrize("make_graph", [path_graph, star])
+def test_walks_match_reference_on_chain_and_star(make_graph):
+    g = make_graph()
+    corpus = generate_walks(g, walks_per_node=4, walk_length=6, seed=17)
+    assert np.array_equal(corpus.walks, walks_reference(g, 4, 6, 17))
+
+
+def test_walk_rows_start_at_their_node():
+    g = random_connected_graph(np.random.default_rng(5), 12, extra_edges=10)
+    corpus = generate_walks(g, walks_per_node=5, walk_length=4, seed=8)
+    assert np.array_equal(corpus.walks[:, 0], np.repeat(np.arange(g.num_nodes), 5))
+
+
 def test_next_step_uniform_over_neighbors():
     # Hub of a 5-leaf star: step frequencies should pass a chi-squared test.
     g = star(leaves=5)
@@ -80,12 +121,16 @@ def test_next_step_uniform_over_neighbors():
 
 def test_extract_pairs_window_one():
     assert extract_pairs([0, 1, 2], 1) == [(0, 1), (1, 0), (1, 2), (2, 1)]
+    assert one_walk_corpus([0, 1, 2]).pair_capacity(1) == 4
+    assert_sampler_draws_within([0, 1, 2], 1, extract_pairs([0, 1, 2], 1))
 
 
 def test_extract_pairs_window_two():
     pairs = extract_pairs([0, 1, 2], 2)
     assert len(pairs) == 6
     assert set(pairs) == {(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)}
+    assert one_walk_corpus([0, 1, 2]).pair_capacity(2) == len(pairs)
+    assert_sampler_draws_within([0, 1, 2], 2, pairs)
 
 
 @given(length=st.integers(2, 12), window=st.integers(1, 15))
@@ -100,6 +145,8 @@ def test_extract_pairs_matches_brute_force(length, window):
     assert extract_pairs(walk, window) == expected
     if window >= length - 1:
         assert len(expected) == length * (length - 1)
+    assert one_walk_corpus(walk).pair_capacity(window) == len(expected)
+    assert_sampler_draws_within(walk, window, expected)
 
 
 @given(length=st.integers(2, 12), window=st.integers(1, 15))
@@ -109,6 +156,7 @@ def test_pair_count_formula(length, window):
         min(i + window, length - 1) - max(i - window, 0) for i in range(length)
     )
     assert len(extract_pairs(walk, window)) == formula
+    assert one_walk_corpus(walk).pair_capacity(window) == len(extract_pairs(walk, window))
 
 
 def test_pair_capacity_matches_enumeration():
@@ -178,6 +226,20 @@ def test_walk_file_round_trip():
     assert loaded.walks_per_node == 2
     assert loaded.walk_length == 5
     assert loaded.seed == 21
+
+
+def test_walk_file_without_header_infers_layout():
+    g = triangle()
+    corpus = generate_walks(g, 2, 4, seed=6)
+    buf = io.StringIO()
+    write_walks(corpus, g, buf)
+    rows = buf.getvalue().splitlines()[1:]
+    loaded = read_walks(rows, g)
+    assert loaded.walks_per_node == 2 and loaded.seed == -1
+    assert np.array_equal(loaded.walks, corpus.walks)
+    for bad in (rows[:-1], rows[2:] + rows[:2]):
+        with pytest.raises(ParseError):
+            read_walks(bad, g)
 
 
 def test_walk_file_unknown_node():

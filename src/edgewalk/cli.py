@@ -23,6 +23,7 @@ import json
 import logging
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
@@ -44,6 +45,19 @@ def _sha256(path: Path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+@contextmanager
+def _replacing(path: Path):
+    """Yield a temporary path beside ``path`` that replaces ``path`` once the
+    block ends without an exception; otherwise the temporary file is removed
+    and ``path`` is left as it was."""
+    partial = path.with_name(path.name + ".tmp")
+    try:
+        yield partial
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
 
 
 def _write_manifest(path: Path, command: str, config_dict: dict, inputs: dict) -> None:
@@ -138,19 +152,18 @@ def cmd_train(args: argparse.Namespace) -> int:
     if cache is not None and corpus is None:
         corpus = generate_walks(graph, config.walks_per_node, config.walk_length,
                                 walk_seed(config.seed))
-        partial = cache.with_name(cache.name + ".tmp")
-        with open(partial, "w") as fh:
+        with _replacing(cache) as partial, open(partial, "w") as fh:
             write_walks(corpus, graph, fh)
-        os.replace(partial, cache)
         log.info("walk corpus cached to %s", cache)
 
     result = train(graph, labeled, config, corpus=corpus)
 
-    with open(out_dir / "embeddings.vec", "w") as fh:
+    with _replacing(out_dir / "embeddings.vec") as partial, open(partial, "w") as fh:
         write_embeddings(fh, graph.ids, result.tables.center)
-    save_checkpoint(out_dir / "checkpoint.bin", result.tables, result.mlp,
-                    result.optimizer, config.to_dict(), graph.ids)
-    with open(out_dir / "training_report.txt", "w") as fh:
+    with _replacing(out_dir / "checkpoint.bin") as partial:
+        save_checkpoint(partial, result.tables, result.mlp, result.optimizer,
+                        config.to_dict(), graph.ids)
+    with _replacing(out_dir / "training_report.txt") as partial, open(partial, "w") as fh:
         result.report.write(fh)
     log.info("stopped after %d rounds (%s)", len(result.report.rounds),
              result.report.stop_reason)
@@ -188,8 +201,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     report = node_classification_experiment(features, targets, config)
     table = report.format_table()
     sys.stdout.write(table)
-    (out_dir / "eval_report.txt").write_text(table)
-    with open(out_dir / "eval_results.tsv", "w") as fh:
+    with _replacing(out_dir / "eval_report.txt") as partial:
+        partial.write_text(table)
+    with _replacing(out_dir / "eval_results.tsv") as partial, open(partial, "w") as fh:
         report.write_tsv(fh)
     return 0
 
@@ -269,7 +283,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                  report.means[0], report.stds[0])
 
     out_path = out_dir / f"sweep_{args.parameter.replace('-', '_')}.tsv"
-    with open(out_path, "w") as fh:
+    with _replacing(out_path) as partial, open(partial, "w") as fh:
         fh.write(f"{args.parameter}\tmacro_f1_mean\tmacro_f1_std\n")
         for value, mean, std in series:
             fh.write(f"{value:.17g}\t{mean:.17g}\t{std:.17g}\n")

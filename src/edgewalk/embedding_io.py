@@ -19,8 +19,9 @@ def write_embeddings(stream, ids: Sequence[str], matrix: np.ndarray) -> None:
     if len(ids) != matrix.shape[0]:
         raise ParseError(f"{len(ids)} ids for {matrix.shape[0]} embedding rows")
     stream.write(f"{matrix.shape[0]} {matrix.shape[1]}\n")
+    line = " ".join(["%.17g"] * matrix.shape[1]) + "\n"
     for name, row in zip(ids, matrix):
-        stream.write(name + " " + " ".join(f"{x:.17g}" for x in row) + "\n")
+        stream.write(name + " " + line % tuple(row.tolist()))
 
 
 def read_embeddings(lines: Iterable[str]) -> tuple[list[str], np.ndarray]:

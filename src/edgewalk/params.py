@@ -62,12 +62,33 @@ class SparseGrad:
     mlp_bias_grads: list[np.ndarray] | None = None
 
 
-def accumulate_rows(rows: np.ndarray, grads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sum duplicate row contributions; returns (unique_rows, summed_grads)."""
-    unique, inverse = np.unique(rows, return_inverse=True)
-    acc = np.zeros((len(unique), grads.shape[1]), dtype=grads.dtype)
-    np.add.at(acc, inverse, grads)
-    return unique, acc
+def accumulate_rows(rows: np.ndarray, grads: np.ndarray, weights: np.ndarray | None = None,
+                    sources: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Sum duplicate row contributions; returns (unique_rows, summed_grads).
+
+    Contribution ``i`` to row ``rows[i]`` is ``grads[i]``, or
+    ``weights[i] * grads[sources[i]]`` when ``weights`` and ``sources`` are
+    given. Each sum starts from zero and adds the row's contributions in
+    order of appearance, so it equals ``np.add.at`` into zeros bit for bit.
+    """
+    # Imported here, not with the module: importing scipy.sparse ahead of
+    # scipy.special made importing the package about 20 ms slower.
+    from scipy.sparse import csr_matrix
+
+    order = np.argsort(rows, kind="stable")
+    ordered = rows[order]
+    first = np.flatnonzero(np.diff(ordered, prepend=ordered[:1] - 1))  # each run's start
+    if sources is None:
+        if len(first) == len(rows):  # no duplicates
+            summed = grads[order]
+            summed += 0.0  # as in a sum from zero, -0.0 becomes 0.0
+            return ordered, summed
+        weights, sources = np.ones(len(rows), dtype=grads.dtype), np.arange(len(rows))
+    # One matrix row per distinct row index, holding its contributions in
+    # order; the product adds them into zeros in that order.
+    pick = csr_matrix((weights[order], sources[order], np.append(first, len(rows))),
+                      shape=(len(first), len(grads)))
+    return ordered[first], pick @ grads
 
 
 class AdamOptimizer:
@@ -93,11 +114,25 @@ class AdamOptimizer:
     def _update_rows(self, param, m, v, rows, grads, bc1, bc2, block):
         if not np.isfinite(grads).all():
             raise NumericsError(f"non-finite gradient in parameter block {block!r}")
-        m[rows] = self.beta1 * m[rows] + (1.0 - self.beta1) * grads
-        v[rows] = self.beta2 * v[rows] + (1.0 - self.beta2) * grads * grads
-        m_hat = m[rows] / bc1
-        v_hat = v[rows] / bc2
-        param[rows] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        # One gather and one scatter per array. The moment sums run in the
+        # gradient's dtype and round into the table's; the step is taken in
+        # the table's dtype from the rounded moments.
+        m_rows, v_rows, p_rows = m[rows], v[rows], param[rows]
+        scaled = np.multiply(grads, 1.0 - self.beta1)
+        m_rows *= self.beta1
+        np.add(m_rows, scaled, out=m_rows)
+        np.multiply(grads, 1.0 - self.beta2, out=scaled)
+        scaled *= grads
+        v_rows *= self.beta2
+        np.add(v_rows, scaled, out=v_rows)
+        step = np.divide(m_rows, bc1)
+        step *= self.lr
+        denom = np.divide(v_rows, bc2)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        step /= denom
+        p_rows -= step
+        m[rows], v[rows], param[rows] = m_rows, v_rows, p_rows
 
     def _update_dense(self, param, m, v, grad, bc1, bc2, block):
         if not np.isfinite(grad).all():

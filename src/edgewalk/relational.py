@@ -71,8 +71,15 @@ def mlp_forward(x: np.ndarray, params: MlpParams) -> tuple[np.ndarray, list[np.n
 
 def _clamped_bce(y: np.ndarray, y_hat: np.ndarray) -> np.ndarray:
     """Cross-entropy with probabilities clamped to [floor, 1 - floor], summed
-    over the last (label) axis."""
-    p = np.clip(y_hat, PROB_FLOOR, 1.0 - PROB_FLOOR)
+    over the last (label) axis.
+
+    The upper clamp is ``1 - floor`` in ``y_hat``'s dtype but never 1 itself,
+    where ``log1p(-p)`` is infinite: float32 rounds ``1 - floor`` to 1, so
+    float32 predictions clamp to the largest float32 below 1.
+    """
+    kind = y_hat.dtype.type
+    top = min(kind(1.0 - PROB_FLOOR), np.nextafter(kind(1.0), kind(0.0)))
+    p = np.clip(y_hat, PROB_FLOOR, top)
     return -(y * np.log(p) + (1.0 - y) * np.log1p(-p)).sum(axis=-1)
 
 

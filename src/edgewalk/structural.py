@@ -81,13 +81,14 @@ def loss_and_grads(
     d_neg = expit(neg_scores) / n             # (N, K)
 
     g_center = d_pos[:, None] * q_pos + np.einsum("nk,nkd->nd", d_neg, q_neg)
-    g_ctx_pos = d_pos[:, None] * c
-    g_ctx_neg = d_neg[:, :, None] * c[:, None, :]
-
     center_rows, center_grads = accumulate_rows(centers, g_center)
-    ctx_rows_all = np.concatenate([contexts, negatives.ravel()])
-    ctx_grads_all = np.concatenate([g_ctx_pos, g_ctx_neg.reshape(-1, tables.dim)])
-    context_rows, context_grads = accumulate_rows(ctx_rows_all, ctx_grads_all)
+    # Context rows get d_pos * c (positives), then d_neg * c (negatives,
+    # pair-major), summed from the weights without an (N * K, d) array.
+    pair = np.arange(n)
+    context_rows, context_grads = accumulate_rows(
+        np.concatenate([contexts, negatives.ravel()]), c,
+        weights=np.concatenate([d_pos, d_neg.ravel()]),
+        sources=np.concatenate([pair, np.repeat(pair, negatives.shape[1])]))
 
     grad = SparseGrad(
         center_rows=center_rows,

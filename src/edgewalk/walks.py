@@ -144,8 +144,8 @@ def read_walks(lines: Iterable[str], graph: Graph) -> WalkCorpus:
     if walks_per_node < 0:
         walks_per_node = len(rows) // graph.num_nodes
     walks = np.asarray(rows, dtype=np.int64)
-    starts = np.repeat(np.arange(graph.num_nodes), walks_per_node)
-    if len(walks) != len(starts) or (walks[:, 0] != starts).any():
+    if len(walks) != graph.num_nodes * walks_per_node or (
+            walks[:, 0] != np.arange(len(walks)) // walks_per_node).any():
         raise ParseError(f"walk file is not {walks_per_node} walks per node in node order "
                          f"({len(walks)} walks for {graph.num_nodes} nodes)")
     walks.setflags(write=False)

@@ -6,7 +6,7 @@ they check the vectorized implementations from outside.
 
 import numpy as np
 
-from edgewalk.errors import ConfigError
+from edgewalk.errors import ConfigError, NumericsError
 
 FD_STEP = 1e-5
 
@@ -142,3 +142,29 @@ def top_k_reference(scores, k_per_node):
         ranked = sorted(range(len(row)), key=lambda j: (-row[j], j))
         picks.append(frozenset(ranked[:k]))
     return picks
+
+
+def accumulate_rows_reference(rows, grads, weights=None, sources=None):
+    """Duplicate-row sums by ``np.unique`` and ``np.add.at`` into zeros.
+
+    With ``weights`` and ``sources``, contribution i is first built as the
+    row ``weights[i] * grads[sources[i]]``, as an (n, d) array.
+    """
+    if sources is not None:
+        grads = weights[:, None] * grads[sources]
+    unique, inverse = np.unique(rows, return_inverse=True)
+    acc = np.zeros((len(unique), grads.shape[1]), dtype=grads.dtype)
+    np.add.at(acc, inverse, grads)
+    return unique, acc
+
+
+def update_rows_reference(optimizer, param, m, v, rows, grads, bc1, bc2, block):
+    """Lazy Adam row update written out one formula per line; it stands in
+    for ``AdamOptimizer._update_rows`` (same arguments, ``optimizer`` as self)."""
+    if not np.isfinite(grads).all():
+        raise NumericsError(f"non-finite gradient in parameter block {block!r}")
+    m[rows] = optimizer.beta1 * m[rows] + (1.0 - optimizer.beta1) * grads
+    v[rows] = optimizer.beta2 * v[rows] + (1.0 - optimizer.beta2) * grads * grads
+    m_hat = m[rows] / bc1
+    v_hat = v[rows] / bc2
+    param[rows] -= optimizer.lr * m_hat / (np.sqrt(v_hat) + optimizer.eps)

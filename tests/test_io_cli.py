@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,6 +97,26 @@ def test_train_happy_path(synth_dir, tmp_path):
     assert ckpt.ids == ids
     # The embedding file carries the center table.
     assert np.array_equal(matrix, ckpt.center)
+
+
+def fail_mid_write(dest, *args):
+    """Write a little to ``dest`` (stream or path), then fail as a full disk does."""
+    if hasattr(dest, "write"):
+        dest.write("2 3\n")
+    else:
+        Path(dest).write_bytes(b"EWCHKPT1")
+    raise OSError("No space left on device")
+
+
+@pytest.mark.parametrize("target, name", [("edgewalk.cli.write_embeddings", "embeddings.vec"),
+                                          ("edgewalk.cli.save_checkpoint", "checkpoint.bin")])
+def test_failed_train_write_leaves_nothing_under_final_name(synth_dir, tmp_path, capsys,
+                                                            monkeypatch, target, name):
+    monkeypatch.setattr(target, fail_mid_write)
+    assert run_train(synth_dir, tmp_path) == 2
+    assert "error: No space left on device" in capsys.readouterr().err
+    assert not (tmp_path / name).exists()
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_train_lambda_zero_without_labels(synth_dir, tmp_path):
@@ -287,6 +308,21 @@ def test_evaluate_rerun_identical(embedding_files, tmp_path):
                      "--repeats", "2", "--out-dir", str(out)]) == 0
     for name in ("eval_report.txt", "eval_results.tsv", "eval_manifest.json"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+def test_failed_evaluate_write_keeps_previous_results(embedding_files, tmp_path, capsys,
+                                                     monkeypatch):
+    vec, nl = embedding_files
+    argv = ["evaluate", str(vec), str(nl), "--ratios", "0.5", "--repeats", "2",
+            "--out-dir", str(tmp_path / "eval")]
+    assert main(argv) == 0
+    before = (tmp_path / "eval" / "eval_results.tsv").read_bytes()
+    monkeypatch.setattr("edgewalk.evaluation.EvalReport.write_tsv",
+                        lambda self, stream: fail_mid_write(stream))
+    assert main(argv) == 2
+    assert "error: No space left on device" in capsys.readouterr().err
+    assert (tmp_path / "eval" / "eval_results.tsv").read_bytes() == before
+    assert not list((tmp_path / "eval").glob("*.tmp"))
 
 
 def test_evaluate_missing_node_non_strict_warns(embedding_files, tmp_path, caplog):

@@ -13,6 +13,8 @@ from edgewalk.params import (
 )
 from edgewalk.relational import MlpParams
 
+from oracles import accumulate_rows_reference, update_rows_reference
+
 
 def dense_adam_reference(params, grads, steps_state):
     """Textbook dense Adam step, kept independent of the package's optimizer."""
@@ -143,6 +145,77 @@ def test_accumulate_rows_sums_duplicates():
     assert unique.tolist() == [1, 2, 3]
     assert acc.ravel().tolist() == [22.0, 5.0, 11.0]
     assert len(set(unique.tolist())) == len(unique)
+
+
+# the step, byte for byte against the reference formulas ------------------------
+
+ROW_CASES = {
+    "duplicates": lambda rng: rng.integers(0, 7, size=300),
+    "all_unique": lambda rng: rng.permutation(500)[:200],
+    "single": lambda rng: np.array([4]),
+    "empty": lambda rng: np.zeros(0, dtype=np.int64),
+}
+
+
+def with_signed_zeros(grads):
+    grads = grads.copy()
+    grads.flat[::7] = -0.0
+    return grads
+
+
+def assert_same_bytes(got, want):
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("case", sorted(ROW_CASES))
+def test_accumulate_rows_matches_reference_bytes(case, dtype):
+    rng = np.random.default_rng(3)
+    rows = ROW_CASES[case](rng)
+    grads = rng.normal(size=(len(rows), 5)).astype(dtype)
+    for g in (grads, with_signed_zeros(grads)):
+        assert_same_bytes(accumulate_rows(rows, g), accumulate_rows_reference(rows, g))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("case", sorted(ROW_CASES))
+def test_weighted_accumulate_rows_matches_reference_bytes(case, dtype):
+    # Contribution i is weights[i] * table[sources[i]], sources repeating.
+    rng = np.random.default_rng(4)
+    rows = ROW_CASES[case](rng)
+    table = with_signed_zeros(rng.normal(size=(9, 5)).astype(dtype))
+    weights = rng.normal(size=len(rows)).astype(dtype)
+    sources = rng.integers(0, len(table), size=len(rows))
+    assert_same_bytes(accumulate_rows(rows, table, weights=weights, sources=sources),
+                      accumulate_rows_reference(rows, table, weights=weights, sources=sources))
+
+
+@pytest.mark.parametrize("table_dtype, grad_dtype", [(np.float64, np.float64),
+                                                     (np.float32, np.float32),
+                                                     (np.float32, np.float64)])
+@pytest.mark.parametrize("case", ["many", "single", "empty"])
+def test_update_rows_matches_reference_bytes(case, table_dtype, grad_dtype):
+    # float64 gradients into float32 tables are what the relational loss
+    # hands a float32 run.
+    rng = np.random.default_rng(5)
+    tables = [EmbeddingTables(center=rng.normal(size=(30, 6)).astype(table_dtype),
+                              context=np.zeros((30, 6), dtype=table_dtype))]
+    tables.append(EmbeddingTables(center=tables[0].center.copy(),
+                                  context=tables[0].context.copy()))
+    fast, ref = AdamOptimizer(tables[0], lr=0.05), AdamOptimizer(tables[1], lr=0.05)
+    for t in range(1, 9):
+        rows = {"many": np.sort(rng.permutation(30)[:12]), "single": np.array([t]),
+                "empty": np.zeros(0, dtype=np.int64)}[case]
+        grads = (rng.normal(size=(len(rows), 6)) * 10.0 ** rng.integers(-6, 3)).astype(grad_dtype)
+        bc1, bc2 = 1.0 - fast.beta1 ** t, 1.0 - fast.beta2 ** t
+        fast._update_rows(tables[0].center, fast._m_center, fast._v_center, rows, grads,
+                          bc1, bc2, "center")
+        update_rows_reference(ref, tables[1].center, ref._m_center, ref._v_center, rows,
+                              grads, bc1, bc2, "center")
+        assert_same_bytes([tables[0].center, fast._m_center, fast._v_center],
+                          [tables[1].center, ref._m_center, ref._v_center])
 
 
 # checkpoint ------------------------------------------------------------------

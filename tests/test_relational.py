@@ -231,3 +231,22 @@ def test_overfit_ten_disjoint_edges():
     y_hat, _ = mlp_forward(x, mlp)
     accuracy = ((y_hat > 0.5) == targets.astype(bool)).mean()
     assert accuracy >= 0.99
+
+
+def test_saturated_float32_output_keeps_loss_finite():
+    # A float32 output of exactly 1.0 against a 0 target: float32(1 - 1e-12)
+    # is 1.0, so clamping to it would leave log1p(-p) infinite.
+    tables = EmbeddingTables(center=np.ones((3, 2), dtype=np.float32),
+                             context=np.zeros((3, 2), dtype=np.float32))
+    mlp = MlpParams(weights=[np.ones((2, 4), dtype=np.float32), np.ones((2, 2), dtype=np.float32)],
+                    biases=[np.zeros(2, dtype=np.float32), np.full(2, 50.0, dtype=np.float32)])
+    edges = np.array([[0, 1], [1, 2]])
+    targets = np.array([[1.0, 0.0], [0.0, 0.0]])
+    x, _ = compose_batch(edges, tables)
+    assert (mlp_forward(x, mlp)[0] == 1.0).all()
+    loss = relational_loss(edges, targets, tables, mlp)
+    result = relational_backward(edges, targets, tables, mlp)
+    assert math.isfinite(loss) and math.isfinite(result.loss)
+    assert result.loss == loss
+    # Three zero targets at -log(2**-24) each, over two edges; the 1 target costs ~0.
+    assert loss == pytest.approx(1.5 * 24 * math.log(2), rel=1e-6)

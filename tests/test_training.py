@@ -6,6 +6,7 @@ import pytest
 
 from edgewalk.errors import ConfigError
 from edgewalk.graph import load_edge_list
+from edgewalk.params import AdamOptimizer, save_checkpoint
 from edgewalk.training import (
     EarlyStopTracker,
     TrainConfig,
@@ -14,7 +15,7 @@ from edgewalk.training import (
 )
 
 from helpers import toy_community_inputs
-from oracles import combined_loss
+from oracles import accumulate_rows_reference, combined_loss, update_rows_reference
 
 
 def small_config(**overrides):
@@ -311,3 +312,25 @@ def test_corpus_regeneration_changes_result():
                               regenerate_walks=False)
     frozen = train(graph, None, frozen_cfg)
     assert not np.array_equal(moving.tables.center, frozen.tables.center)
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("lambda_", [0.8, 0.0])
+def test_step_matches_reference_formulas_bytes(tmp_path, monkeypatch, lambda_, dtype):
+    # A run through the plain reference row sums and Adam row update must
+    # give the same checkpoint bytes as the vectorized ones.
+    graph, _, labeled, _ = toy_community_inputs(seed=4)
+    config = small_config(lambda_=lambda_, dtype=dtype, max_rounds=4)
+
+    def checkpoint(name):
+        result = train(graph, labeled if lambda_ > 0 else None, config)
+        path = tmp_path / name
+        save_checkpoint(path, result.tables, result.mlp, result.optimizer, config.to_dict(),
+                        graph.ids)
+        return path.read_bytes()
+
+    fast = checkpoint("fast.bin")
+    monkeypatch.setattr("edgewalk.structural.accumulate_rows", accumulate_rows_reference)
+    monkeypatch.setattr("edgewalk.relational.accumulate_rows", accumulate_rows_reference)
+    monkeypatch.setattr(AdamOptimizer, "_update_rows", update_rows_reference)
+    assert checkpoint("reference.bin") == fast

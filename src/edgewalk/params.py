@@ -15,8 +15,9 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
-from .errors import ConfigError, NumericsError, ParseError
+from .errors import ConfigError, NumericsError, ParseError, ValidationError
 
 
 @dataclass
@@ -71,19 +72,13 @@ def accumulate_rows(rows: np.ndarray, grads: np.ndarray, weights: np.ndarray | N
     given. Each sum starts from zero and adds the row's contributions in
     order of appearance, so it equals ``np.add.at`` into zeros bit for bit.
     """
-    # Imported here, not with the module: importing scipy.sparse ahead of
-    # scipy.special made importing the package about 20 ms slower.
-    from scipy.sparse import csr_matrix
-
+    if (weights is None) != (sources is None):
+        raise ValidationError("weights and sources must be given together")
+    if sources is None:
+        weights, sources = np.ones(len(rows), dtype=grads.dtype), np.arange(len(rows))
     order = np.argsort(rows, kind="stable")
     ordered = rows[order]
     first = np.flatnonzero(np.diff(ordered, prepend=ordered[:1] - 1))  # each run's start
-    if sources is None:
-        if len(first) == len(rows):  # no duplicates
-            summed = grads[order]
-            summed += 0.0  # as in a sum from zero, -0.0 becomes 0.0
-            return ordered, summed
-        weights, sources = np.ones(len(rows), dtype=grads.dtype), np.arange(len(rows))
     # One matrix row per distinct row index, holding its contributions in
     # order; the product adds them into zeros in that order.
     pick = csr_matrix((weights[order], sources[order], np.append(first, len(rows))),

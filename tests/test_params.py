@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from edgewalk.errors import NumericsError, ParseError
+from edgewalk.errors import NumericsError, ParseError, ValidationError
 from edgewalk.params import (
     AdamOptimizer,
     EmbeddingTables,
@@ -145,6 +145,14 @@ def test_accumulate_rows_sums_duplicates():
     assert unique.tolist() == [1, 2, 3]
     assert acc.ravel().tolist() == [22.0, 5.0, 11.0]
     assert len(set(unique.tolist())) == len(unique)
+
+
+@pytest.mark.parametrize("given", ["weights", "sources"])
+def test_accumulate_rows_needs_weights_and_sources_together(given):
+    rows = np.array([0, 1, 0])
+    extra = {given: np.ones(3)} if given == "weights" else {given: np.arange(3)}
+    with pytest.raises(ValidationError, match="together"):
+        accumulate_rows(rows, np.ones((3, 2)), **extra)
 
 
 # the step, byte for byte against the reference formulas ------------------------

@@ -41,7 +41,6 @@ from .params import AdamOptimizer, EmbeddingTables, SparseGrad, init_embeddings 
 from .structural import NoiseDistribution  # noqa: E402
 from .relational import (  # noqa: E402
     MlpParams,
-    bce_loss,
     init_mlp,
     mlp_forward,
     relational_backward,
@@ -85,7 +84,6 @@ __all__ = [
     "TrainResult",
     "ValidationError",
     "WalkCorpus",
-    "bce_loss",
     "generate_planted_partition",
     "generate_walks",
     "init_embeddings",

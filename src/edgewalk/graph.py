@@ -11,12 +11,16 @@ Node ids are arbitrary tokens and are interned to dense indices in
 first-seen order, so repeated loads of the same file produce identical
 index assignments. All structures here are immutable after load and safe
 to share across threads.
+
+Each loader parses ASCII text in bulk with array operations; non-ASCII text
+and malformed input go through a line parser, which names the bad line.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress, count, repeat
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -31,6 +35,68 @@ def _data_lines(lines: Iterable[str]):
         if not line or line.startswith("#"):
             continue
         yield n, line
+
+
+# The ASCII characters that str.split() and str.strip() treat as whitespace.
+_SPACE = np.zeros(256, dtype=bool)
+_SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
+
+
+def _parse(lines, width: int, bulk, by_line, *args):
+    """Parse ``lines`` with ``bulk`` when the text allows it, else with ``by_line``.
+
+    A stream is read whole and split into lines at ``\\n``; any other
+    iterable holds one line per string. ``bulk`` gets the fields of the data
+    lines as one flat list, and only when the text is ASCII and every data
+    line has ``width`` fields; it returns None when one of its own checks
+    fails. ``by_line`` then parses the same lines, so an error keeps its
+    message and line number, and non-ASCII text gets the same result.
+    """
+    if hasattr(lines, "read"):
+        text, ends, lines = lines.read(), None, None
+    else:
+        lines = list(lines)
+        text = "\n".join(lines)
+        ends = np.cumsum(np.fromiter(map(len, lines), np.int64, len(lines)) + 1) - 1
+    fields = _data_fields(text, ends, width)
+    result = None if fields is None else bulk(fields, *args)
+    if result is None:
+        result = by_line(text.split("\n") if lines is None else lines, *args)
+    return result
+
+
+def _data_fields(text: str, ends, width: int) -> list[str] | None:
+    """The fields of the data lines of ``text`` in order, or None when the text
+    is not ASCII or a data line has other than ``width`` fields. ``ends``
+    holds the offset that ends each line; None means at each newline."""
+    if not text.isascii():
+        return None
+    codes = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    space = _SPACE[codes]
+    is_start = ~space
+    is_start[1:] &= space[:-1]
+    starts = np.flatnonzero(is_start)
+    line = np.searchsorted(np.flatnonzero(codes == 10) if ends is None else ends, starts)
+    first = np.flatnonzero(np.diff(line, prepend=-1))
+    widths = np.diff(first, append=len(starts))
+    comment = codes[starts[first]] == ord("#")
+    if (widths[~comment] != width).any():
+        return None
+    fields = text.split()
+    if comment.any():
+        fields = list(compress(fields, np.repeat(~comment, widths).tolist()))
+    return fields
+
+
+def _intern(names: list[str]) -> tuple[dict[str, int], np.ndarray]:
+    """Dense codes in first-seen order: (name -> code, the code of each name)."""
+    index = dict(zip(dict.fromkeys(names), count()))
+    return index, np.fromiter(map(index.__getitem__, names), np.int64, len(names))
+
+
+def _lookup(index_of: Mapping[str, int], names: list[str]) -> np.ndarray:
+    """The index of each name, -1 where ``index_of`` has none."""
+    return np.fromiter(map(index_of.get, names, repeat(-1)), np.int64, len(names))
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -53,7 +119,6 @@ class Graph:
     edges: np.ndarray
     adj_indptr: np.ndarray
     adj_indices: np.ndarray
-    edge_index: Mapping[tuple[int, int], int]
 
     @property
     def num_nodes(self) -> int:
@@ -66,12 +131,6 @@ class Graph:
     @property
     def degrees(self) -> np.ndarray:
         return np.diff(self.adj_indptr)
-
-    def neighbors(self, v: int) -> np.ndarray:
-        return self.adj_indices[self.adj_indptr[v] : self.adj_indptr[v + 1]]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edge_index
 
 
 @dataclass(frozen=True)
@@ -132,37 +191,41 @@ def load_edge_list(lines: Iterable[str]) -> Graph:
     Raises :class:`ParseError` for lines without exactly two fields and
     :class:`ValidationError` for self-loops.
     """
-    ids: list[str] = []
+    return _parse(lines, 2, _edge_list_from_fields, _edge_list_by_line)
+
+
+def _edge_list_from_fields(fields: list[str]) -> Graph | None:
+    index, ends = _intern(fields)
+    u, v = ends[0::2], ends[1::2]
+    if (u == v).any():
+        return None
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    # Each edge's first line, found through its sorted key lo * n + hi.
+    _, first = np.unique(lo * len(index) + hi, return_index=True)
+    first.sort()
+    return _build_graph(index, np.stack([lo[first], hi[first]], axis=1))
+
+
+def _edge_list_by_line(lines: Iterable[str]) -> Graph:
     index: dict[str, int] = {}
-    edge_index: dict[tuple[int, int], int] = {}
+    seen: set[tuple[int, int]] = set()
     edges: list[tuple[int, int]] = []
-
-    def intern(token: str) -> int:
-        i = index.get(token)
-        if i is None:
-            i = len(ids)
-            index[token] = i
-            ids.append(token)
-        return i
-
     for n, line in _data_lines(lines):
         fields = line.split()
         if len(fields) != 2:
             raise ParseError(f"line {n}: expected 'src dst', got {len(fields)} fields")
         if fields[0] == fields[1]:
             raise ValidationError(f"line {n}: self-loop on node {fields[0]!r}")
-        u, v = intern(fields[0]), intern(fields[1])
+        u, v = (index.setdefault(f, len(index)) for f in fields)
         key = (min(u, v), max(u, v))
-        if key not in edge_index:
-            edge_index[key] = len(edges)
+        if key not in seen:
+            seen.add(key)
             edges.append(key)
+    return _build_graph(index, np.asarray(edges, dtype=np.int64).reshape(len(edges), 2))
 
-    return _build_graph(ids, index, edges, edge_index)
 
-
-def _build_graph(ids, index, edges, edge_index) -> Graph:
-    num_nodes = len(ids)
-    edge_arr = np.asarray(edges, dtype=np.int64).reshape(len(edges), 2)
+def _build_graph(index: dict[str, int], edge_arr: np.ndarray) -> Graph:
+    num_nodes = len(index)
     # Each edge in both directions as one source-major key, sorted.
     u, v = edge_arr[:, 0], edge_arr[:, 1]
     keys = np.concatenate([u * num_nodes + v, v * num_nodes + u])
@@ -171,36 +234,30 @@ def _build_graph(ids, index, edges, edge_index) -> Graph:
     indptr = np.zeros(num_nodes + 1, dtype=np.int64)
     np.cumsum(np.bincount(edge_arr.ravel(), minlength=num_nodes), out=indptr[1:])
     return Graph(
-        ids=tuple(ids),
+        ids=tuple(index),
         index=index,
         edges=_frozen(edge_arr),
         adj_indptr=_frozen(indptr),
         adj_indices=_frozen(indices),
-        edge_index=edge_index,
     )
 
 
-def write_edge_list(graph: Graph, stream) -> None:
-    """Write the graph back out in edge-list format (first-seen edge order)."""
-    for u, v in graph.edges:
-        stream.write(f"{graph.ids[u]} {graph.ids[v]}\n")
-
-
-def _split_labels(field: str, n: int) -> list[str]:
-    labels = field.split(",")
-    if any(not lab for lab in labels):
+def _check_labels(field: str, n: int) -> None:
+    if "" in field.split(","):
         raise ValidationError(f"line {n}: empty label in {field!r}")
-    return labels
 
 
-def _label_arrays(pairs: list[tuple[int, str]]) -> tuple[LabelVocabulary, np.ndarray, np.ndarray]:
-    """(vocabulary, sorted distinct owners, bool multi-hot rows) from parsed
-    (owner index, label) pairs; the vocabulary is in first-seen order and
-    repeated pairs collapse."""
-    index: dict[str, int] = {}
-    columns = [index.setdefault(lab, len(index)) for _, lab in pairs]
-    owners = np.fromiter((owner for owner, _ in pairs), dtype=np.int64, count=len(pairs))
-    keys, rows = np.unique(owners, return_inverse=True)
+def _label_arrays(owners: np.ndarray, label_fields: list[str]):
+    """(vocabulary, sorted distinct owners, bool multi-hot rows) from each
+    row's owner index (int64) and comma-separated label field, or None when
+    a label is empty. The vocabulary is in first-seen order and repeated
+    pairs collapse."""
+    labels = ",".join(label_fields).split(",") if label_fields else []
+    if "" in labels:
+        return None
+    per_row = np.fromiter(map(str.count, label_fields, repeat(",")), np.int64, len(label_fields))
+    index, columns = _intern(labels)
+    keys, rows = np.unique(np.repeat(owners, per_row + 1), return_inverse=True)
     targets = np.zeros((len(keys), len(index)), dtype=bool)
     targets[rows, columns] = True
     return LabelVocabulary(labels=tuple(index), index=index), _frozen(keys), _frozen(targets)
@@ -213,7 +270,35 @@ def load_edge_labels(lines: Iterable[str], graph: Graph) -> tuple[LabelVocabular
     seen for an edge across lines; every other graph edge is unlabeled.
     The vocabulary is built from observed labels in first-seen order.
     """
-    pairs: list[tuple[int, str]] = []
+    return _parse(lines, 3, _edge_labels_from_fields, _edge_labels_by_line, graph)
+
+
+def _labeled_edges(arrays, graph: Graph):
+    if arrays is None:
+        return None
+    vocab, edges, targets = arrays
+    return vocab, LabeledEdgeSet(edges=edges, targets=targets, num_edges=graph.num_edges)
+
+
+def _edge_labels_from_fields(fields: list[str], graph: Graph):
+    u, v = _lookup(graph.index, fields[0::3]), _lookup(graph.index, fields[1::3])
+    if (u < 0).any() or (v < 0).any():
+        return None
+    # Edge indices through the sorted edge keys lo * n + hi.
+    n = graph.num_nodes
+    keys = graph.edges[:, 0] * n + graph.edges[:, 1]
+    order = np.argsort(keys)
+    wanted = np.minimum(u, v) * n + np.maximum(u, v)
+    at = order[np.minimum(np.searchsorted(keys[order], wanted), len(keys) - 1)]
+    if (keys[at] != wanted).any():
+        return None
+    return _labeled_edges(_label_arrays(at, fields[2::3]), graph)
+
+
+def _edge_labels_by_line(lines: Iterable[str], graph: Graph):
+    edge_of = {(u, v): k for k, (u, v) in enumerate(graph.edges.tolist())}
+    edges: list[int] = []
+    label_fields: list[str] = []
     for n, line in _data_lines(lines):
         fields = line.split()
         if len(fields) != 3:
@@ -223,14 +308,13 @@ def load_edge_labels(lines: Iterable[str], graph: Graph) -> tuple[LabelVocabular
             u, v = graph.index[src], graph.index[dst]
         except KeyError as exc:
             raise ValidationError(f"line {n}: unknown node {exc.args[0]!r}") from None
-        key = (min(u, v), max(u, v))
-        edge = graph.edge_index.get(key)
+        edge = edge_of.get((min(u, v), max(u, v)))
         if edge is None:
             raise ValidationError(f"line {n}: {src!r} {dst!r} is not an edge of the graph")
-        pairs.extend((edge, lab) for lab in _split_labels(label_field, n))
-
-    vocab, edges, targets = _label_arrays(pairs)
-    return vocab, LabeledEdgeSet(edges=edges, targets=targets, num_edges=graph.num_edges)
+        _check_labels(label_field, n)
+        edges.append(edge)
+        label_fields.append(label_field)
+    return _labeled_edges(_label_arrays(np.asarray(edges, dtype=np.int64), label_fields), graph)
 
 
 def split_labeled_edges(
@@ -270,7 +354,33 @@ def load_node_labels(
     """
     if on_missing not in ("error", "skip"):
         raise ConfigError(f"on_missing must be 'error' or 'skip', got {on_missing!r}")
-    pairs: list[tuple[int, str]] = []
+    return _parse(lines, 2, _node_labels_from_fields, _node_labels_by_line, index_of,
+                  on_missing)
+
+
+def _labeled_nodes(arrays, skipped: list[str]):
+    if arrays is None:
+        return None
+    vocab, nodes, targets = arrays
+    return NodeLabelSet(vocab=vocab, nodes=nodes, targets=targets), skipped
+
+
+def _node_labels_from_fields(fields: list[str], index_of: Mapping[str, int], on_missing: str):
+    names, label_fields = fields[0::2], fields[1::2]
+    nodes = _lookup(index_of, names)
+    found = nodes >= 0
+    skipped: list[str] = []
+    if not found.all():
+        if on_missing == "error":
+            return None
+        skipped = list(compress(names, (~found).tolist()))
+        label_fields = list(compress(label_fields, found.tolist()))
+    return _labeled_nodes(_label_arrays(nodes[found], label_fields), skipped)
+
+
+def _node_labels_by_line(lines: Iterable[str], index_of: Mapping[str, int], on_missing: str):
+    nodes: list[int] = []
+    label_fields: list[str] = []
     skipped: list[str] = []
     for n, line in _data_lines(lines):
         fields = line.split()
@@ -283,7 +393,7 @@ def load_node_labels(
                 raise ValidationError(f"line {n}: unknown node {token!r}")
             skipped.append(token)
             continue
-        pairs.extend((node, lab) for lab in _split_labels(label_field, n))
-
-    vocab, nodes, targets = _label_arrays(pairs)
-    return NodeLabelSet(vocab=vocab, nodes=nodes, targets=targets), skipped
+        _check_labels(label_field, n)
+        nodes.append(node)
+        label_fields.append(label_field)
+    return _labeled_nodes(_label_arrays(np.asarray(nodes, dtype=np.int64), label_fields), skipped)

@@ -222,8 +222,9 @@ def save_checkpoint(path, tables: EmbeddingTables, mlp, optimizer: AdamOptimizer
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
+        # Each array's own buffer, not a copy: the writes add no peak memory.
         for _, arr in arrays:
-            fh.write(np.ascontiguousarray(arr).tobytes())
+            fh.write(np.ascontiguousarray(arr).data)
 
 
 def load_checkpoint(path) -> Checkpoint:

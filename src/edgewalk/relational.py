@@ -83,19 +83,6 @@ def _clamped_bce(y: np.ndarray, y_hat: np.ndarray) -> np.ndarray:
     return -(y * np.log(p) + (1.0 - y) * np.log1p(-p)).sum(axis=-1)
 
 
-def bce_loss(y: np.ndarray, y_hat: np.ndarray) -> float:
-    """Multi-label binary cross-entropy, summed over labels.
-
-    Probabilities are clamped to [1e-12, 1 - 1e-12] so the result stays
-    finite for any parameters.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    y_hat = np.asarray(y_hat, dtype=np.float64)
-    if y.shape != y_hat.shape:
-        raise ValidationError(f"target shape {y.shape} != prediction shape {y_hat.shape}")
-    return float(_clamped_bce(y, y_hat).sum())
-
-
 def relational_loss(edges: np.ndarray, targets: np.ndarray, tables: EmbeddingTables,
                     params: MlpParams) -> float:
     """Mean per-edge cross-entropy of a batch (forward only)."""

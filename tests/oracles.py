@@ -6,7 +6,8 @@ they check the vectorized implementations from outside.
 
 import numpy as np
 
-from edgewalk.errors import ConfigError, NumericsError
+from edgewalk.errors import ConfigError, NumericsError, ValidationError
+from edgewalk.relational import _clamped_bce
 
 FD_STEP = 1e-5
 
@@ -102,6 +103,31 @@ def extract_pairs(walk, window):
     return pairs
 
 
+def neighbors(graph, v):
+    """The adjacency row of node ``v``."""
+    return graph.adj_indices[graph.adj_indptr[v] : graph.adj_indptr[v + 1]]
+
+
+def has_edge(graph, u, v):
+    return int(v) in neighbors(graph, u).tolist()
+
+
+def write_edge_list(graph, stream):
+    """Write the graph back out in edge-list format (first-seen edge order)."""
+    for u, v in graph.edges:
+        stream.write(f"{graph.ids[u]} {graph.ids[v]}\n")
+
+
+def bce_loss(y, y_hat):
+    """Multi-label binary cross-entropy, summed over labels, through the
+    package's clamped formula."""
+    y = np.asarray(y, dtype=np.float64)
+    y_hat = np.asarray(y_hat, dtype=np.float64)
+    if y.shape != y_hat.shape:
+        raise ValidationError(f"target shape {y.shape} != prediction shape {y_hat.shape}")
+    return float(_clamped_bce(y, y_hat).sum())
+
+
 def walks_reference(graph, walks_per_node, walk_length, seed):
     """Uniform walks stepped one walk and one node at a time.
 
@@ -117,8 +143,8 @@ def walks_reference(graph, walks_per_node, walk_length, seed):
         cur = row // walks_per_node
         walk = [cur]
         for step in range(1, walk_length):
-            neighbors = graph.neighbors(cur)
-            cur = int(neighbors[int(draws[step - 1][row] * len(neighbors))])
+            row_nbrs = neighbors(graph, cur)
+            cur = int(row_nbrs[int(draws[step - 1][row] * len(row_nbrs))])
             walk.append(cur)
         walks.append(walk)
     return np.array(walks, dtype=np.int64)

@@ -268,6 +268,22 @@ def test_checkpoint_bytes_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_checkpoint_body_is_each_array_in_c_order(tmp_path):
+    rng = np.random.default_rng(5)
+    tables = EmbeddingTables(center=rng.normal(size=(4, 3)).astype(np.float32),
+                             context=rng.normal(size=(4, 3)).astype(np.float32))
+    # A transposed (Fortran-ordered) weight goes out in C order all the same.
+    mlp = MlpParams(weights=[rng.normal(size=(6, 2)).T], biases=[rng.normal(size=2)])
+    opt = AdamOptimizer(tables, mlp=mlp)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, tables, mlp, opt, {"seed": 0}, ids=["a", "b", "c", "d"])
+    arrays = [tables.center, tables.context, *mlp.weights, *mlp.biases,
+              *opt.state_arrays().values()]
+    blob = path.read_bytes()
+    header_end = 12 + int.from_bytes(blob[8:12], "little")
+    assert blob[header_end:] == b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)
+
+
 def test_checkpoint_truncated(tmp_path):
     tables = init_embeddings(3, 4, seed=0)
     full = tmp_path / "full.ckpt"

@@ -7,7 +7,6 @@ from edgewalk.errors import ValidationError
 from edgewalk.params import AdamOptimizer, EmbeddingTables, init_embeddings
 from edgewalk.relational import (
     MlpParams,
-    bce_loss,
     compose_batch,
     init_mlp,
     mlp_forward,
@@ -15,7 +14,8 @@ from edgewalk.relational import (
     relational_loss,
 )
 
-from oracles import compose_edge_embedding, finite_difference, relative_error, scatter_rows
+from oracles import (bce_loss, compose_edge_embedding, finite_difference, relative_error,
+                     scatter_rows)
 
 
 def random_tables(rng, num_nodes, dim, scale=0.6):

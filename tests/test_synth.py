@@ -5,6 +5,7 @@ from edgewalk.errors import ConfigError
 from edgewalk.synth import generate_planted_partition
 
 from helpers import dataset_streams, load_synth
+from oracles import neighbors
 
 
 def test_shape_and_vocabularies():
@@ -40,7 +41,7 @@ def test_connected_output():
         frontier = [0]
         while frontier:
             v = frontier.pop()
-            for n in graph.neighbors(v):
+            for n in neighbors(graph, v):
                 if int(n) not in seen:
                     seen.add(int(n))
                     frontier.append(int(n))

@@ -23,7 +23,7 @@ import json
 import logging
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 from . import __version__
@@ -214,10 +214,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
                                          args.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths = [out_dir / "graph.edges", out_dir / "graph.edge_labels",
-             out_dir / "graph.node_labels"]
-    with open(paths[0], "w") as e, open(paths[1], "w") as el, open(paths[2], "w") as nl:
-        write_dataset(dataset, e, el, nl)
+    with ExitStack() as stack:
+        partials = [stack.enter_context(_replacing(out_dir / name))
+                    for name in ("graph.edges", "graph.edge_labels", "graph.node_labels")]
+        write_dataset(dataset, *(stack.enter_context(open(p, "w")) for p in partials))
     print(f"{len(dataset.node_names)} nodes, {len(dataset.edges)} edges, "
           f"{len(dataset.labeled_edges)} labeled edges -> {out_dir}")
     return 0
@@ -227,7 +227,7 @@ def cmd_walk(args: argparse.Namespace) -> int:
     with open(args.edges) as fh:
         graph = load_edge_list(fh)
     corpus = generate_walks(graph, args.walks_per_node, args.walk_length, args.seed)
-    with open(args.out, "w") as fh:
+    with _replacing(Path(args.out)) as partial, open(partial, "w") as fh:
         write_walks(corpus, graph, fh)
     print(f"{corpus.num_walks} walks of length {corpus.walk_length} -> {args.out}")
     return 0

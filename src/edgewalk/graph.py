@@ -1,7 +1,8 @@
 """Undirected graph store plus the partially labeled edge partition.
 
-Input formats (fields separated by arbitrary whitespace, ``#`` starts a
-comment line, blank lines ignored):
+Input formats (fields separated by any run of whitespace, which is what
+``str.split()`` sees, Unicode included; ``#`` starts a comment line, blank
+lines ignored):
 
 * edge list:    ``src dst``
 * edge labels:  ``src dst label1[,label2,...]``  (the pair must be a graph edge)
@@ -12,8 +13,8 @@ first-seen order, so repeated loads of the same file produce identical
 index assignments. All structures here are immutable after load and safe
 to share across threads.
 
-Each loader parses ASCII text in bulk with array operations; non-ASCII text
-and malformed input go through a line parser, which names the bad line.
+Each loader parses its whole input with array operations in one path. A
+malformed input raises the error of its earliest bad line, named by number.
 """
 
 from __future__ import annotations
@@ -28,64 +29,66 @@ import numpy as np
 from .errors import ConfigError, ParseError, ValidationError
 
 
-def _data_lines(lines: Iterable[str]):
-    """Yield (line_number, stripped_line), skipping blanks and comments."""
-    for n, raw in enumerate(lines, 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield n, line
+# Whether each code point is whitespace to str.split() and str.strip(). None
+# lies above U+3000, so higher codes clip to the last entry, which is not.
+_SPACE = np.array([chr(c).isspace() for c in range(0x3002)])
 
 
-# The ASCII characters that str.split() and str.strip() treat as whitespace.
-_SPACE = np.zeros(256, dtype=bool)
-_SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
-
-
-def _parse(lines, width: int, bulk, by_line, *args):
-    """Parse ``lines`` with ``bulk`` when the text allows it, else with ``by_line``.
+def _data_fields(lines, form: str):
+    """Split the data lines of ``lines`` into fields, as str.split() does.
 
     A stream is read whole and split into lines at ``\\n``; any other
-    iterable holds one line per string. ``bulk`` gets the fields of the data
-    lines as one flat list, and only when the text is ASCII and every data
-    line has ``width`` fields; it returns None when one of its own checks
-    fails. ``by_line`` then parses the same lines, so an error keeps its
-    message and line number, and non-ASCII text gets the same result.
+    iterable holds one line per string. Blank lines and lines whose first
+    field starts with ``#`` hold no data. Returns the fields of the data
+    lines that have as many fields as ``form`` names, as one flat list; the
+    number of each such line; and, for the first data line with another
+    count, its number and the :class:`ParseError` it raises (else None).
     """
     if hasattr(lines, "read"):
-        text, ends, lines = lines.read(), None, None
+        text, ends = lines.read(), None
     else:
         lines = list(lines)
         text = "\n".join(lines)
         ends = np.cumsum(np.fromiter(map(len, lines), np.int64, len(lines)) + 1) - 1
-    fields = _data_fields(text, ends, width)
-    result = None if fields is None else bulk(fields, *args)
-    if result is None:
-        result = by_line(text.split("\n") if lines is None else lines, *args)
-    return result
-
-
-def _data_fields(text: str, ends, width: int) -> list[str] | None:
-    """The fields of the data lines of ``text`` in order, or None when the text
-    is not ASCII or a data line has other than ``width`` fields. ``ends``
-    holds the offset that ends each line; None means at each newline."""
-    if not text.isascii():
-        return None
-    codes = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    space = _SPACE[codes]
+    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    space = _SPACE.take(codes, mode="clip")
     is_start = ~space
     is_start[1:] &= space[:-1]
     starts = np.flatnonzero(is_start)
-    line = np.searchsorted(np.flatnonzero(codes == 10) if ends is None else ends, starts)
-    first = np.flatnonzero(np.diff(line, prepend=-1))
+    line = np.searchsorted(np.flatnonzero(codes == 10) if ends is None else ends, starts) + 1
+    first = np.flatnonzero(np.diff(line, prepend=0))
     widths = np.diff(first, append=len(starts))
-    comment = codes[starts[first]] == ord("#")
-    if (widths[~comment] != width).any():
-        return None
-    fields = text.split()
-    if comment.any():
-        fields = list(compress(fields, np.repeat(~comment, widths).tolist()))
-    return fields
+    data = codes[starts[first]] != ord("#")
+    good = data & (widths == len(form.split()))
+    fields, bad = text.split(), None
+    if not good.all():
+        fields = list(compress(fields, np.repeat(good, widths).tolist()))
+        wrong = np.flatnonzero(data & ~good)
+        if len(wrong):
+            n, got = line[first[wrong[0]]], widths[wrong[0]]
+            bad = n, ParseError(f"line {n}: expected {form!r}, got {got} fields")
+    return fields, line[first[good]], bad
+
+
+def _first(failed: np.ndarray) -> int:
+    """The first row where ``failed`` is set, or the row count if none is."""
+    return int(failed.argmax()) if failed.any() else len(failed)
+
+
+def _raise_first(line_no: np.ndarray, bad, *checks) -> None:
+    """Raise the error of the earliest line that fails a check, if any.
+
+    Each check pairs the first row that fails it (see :func:`_first`) with a
+    function giving that row's message, in the order a line is checked; a
+    failed check raises :class:`ValidationError`. ``bad`` is the number and
+    error of the first data line with the wrong field count, or None.
+    """
+    row = min(r for r, _ in checks)
+    if row < len(line_no) and (bad is None or line_no[row] < bad[0]):
+        message = next(m for r, m in checks if r == row)
+        raise ValidationError(f"line {line_no[row]}: {message(row)}")
+    if bad is not None:
+        raise bad[1]
 
 
 def _intern(names: list[str]) -> tuple[dict[str, int], np.ndarray]:
@@ -191,37 +194,15 @@ def load_edge_list(lines: Iterable[str]) -> Graph:
     Raises :class:`ParseError` for lines without exactly two fields and
     :class:`ValidationError` for self-loops.
     """
-    return _parse(lines, 2, _edge_list_from_fields, _edge_list_by_line)
-
-
-def _edge_list_from_fields(fields: list[str]) -> Graph | None:
+    fields, line_no, bad = _data_fields(lines, "src dst")
     index, ends = _intern(fields)
     u, v = ends[0::2], ends[1::2]
-    if (u == v).any():
-        return None
+    _raise_first(line_no, bad, (_first(u == v), lambda r: f"self-loop on node {fields[2 * r]!r}"))
     lo, hi = np.minimum(u, v), np.maximum(u, v)
     # Each edge's first line, found through its sorted key lo * n + hi.
     _, first = np.unique(lo * len(index) + hi, return_index=True)
     first.sort()
     return _build_graph(index, np.stack([lo[first], hi[first]], axis=1))
-
-
-def _edge_list_by_line(lines: Iterable[str]) -> Graph:
-    index: dict[str, int] = {}
-    seen: set[tuple[int, int]] = set()
-    edges: list[tuple[int, int]] = []
-    for n, line in _data_lines(lines):
-        fields = line.split()
-        if len(fields) != 2:
-            raise ParseError(f"line {n}: expected 'src dst', got {len(fields)} fields")
-        if fields[0] == fields[1]:
-            raise ValidationError(f"line {n}: self-loop on node {fields[0]!r}")
-        u, v = (index.setdefault(f, len(index)) for f in fields)
-        key = (min(u, v), max(u, v))
-        if key not in seen:
-            seen.add(key)
-            edges.append(key)
-    return _build_graph(index, np.asarray(edges, dtype=np.int64).reshape(len(edges), 2))
 
 
 def _build_graph(index: dict[str, int], edge_arr: np.ndarray) -> Graph:
@@ -242,20 +223,15 @@ def _build_graph(index: dict[str, int], edge_arr: np.ndarray) -> Graph:
     )
 
 
-def _check_labels(field: str, n: int) -> None:
-    if "" in field.split(","):
-        raise ValidationError(f"line {n}: empty label in {field!r}")
-
-
 def _label_arrays(owners: np.ndarray, label_fields: list[str]):
     """(vocabulary, sorted distinct owners, bool multi-hot rows) from each
-    row's owner index (int64) and comma-separated label field, or None when
-    a label is empty. The vocabulary is in first-seen order and repeated
-    pairs collapse."""
+    row's owner index (int64) and comma-separated label field, or the first
+    row with an empty label. The vocabulary is in first-seen order and
+    repeated pairs collapse."""
     labels = ",".join(label_fields).split(",") if label_fields else []
-    if "" in labels:
-        return None
     per_row = np.fromiter(map(str.count, label_fields, repeat(",")), np.int64, len(label_fields))
+    if "" in labels:
+        return int(np.searchsorted(np.cumsum(per_row + 1), labels.index(""), side="right"))
     index, columns = _intern(labels)
     keys, rows = np.unique(np.repeat(owners, per_row + 1), return_inverse=True)
     targets = np.zeros((len(keys), len(index)), dtype=bool)
@@ -270,51 +246,27 @@ def load_edge_labels(lines: Iterable[str], graph: Graph) -> tuple[LabelVocabular
     seen for an edge across lines; every other graph edge is unlabeled.
     The vocabulary is built from observed labels in first-seen order.
     """
-    return _parse(lines, 3, _edge_labels_from_fields, _edge_labels_by_line, graph)
-
-
-def _labeled_edges(arrays, graph: Graph):
-    if arrays is None:
-        return None
-    vocab, edges, targets = arrays
-    return vocab, LabeledEdgeSet(edges=edges, targets=targets, num_edges=graph.num_edges)
-
-
-def _edge_labels_from_fields(fields: list[str], graph: Graph):
-    u, v = _lookup(graph.index, fields[0::3]), _lookup(graph.index, fields[1::3])
-    if (u < 0).any() or (v < 0).any():
-        return None
-    # Edge indices through the sorted edge keys lo * n + hi.
+    fields, line_no, bad = _data_fields(lines, "src dst labels")
+    src, dst, label_fields = fields[0::3], fields[1::3], fields[2::3]
+    u, v = _lookup(graph.index, src), _lookup(graph.index, dst)
+    # Edge indices through the sorted edge keys lo * n + hi. The last key,
+    # n * n, belongs to no pair and keeps every search inside the array.
     n = graph.num_nodes
-    keys = graph.edges[:, 0] * n + graph.edges[:, 1]
+    keys = np.append(graph.edges[:, 0] * n + graph.edges[:, 1], n * n)
     order = np.argsort(keys)
     wanted = np.minimum(u, v) * n + np.maximum(u, v)
-    at = order[np.minimum(np.searchsorted(keys[order], wanted), len(keys) - 1)]
-    if (keys[at] != wanted).any():
-        return None
-    return _labeled_edges(_label_arrays(at, fields[2::3]), graph)
-
-
-def _edge_labels_by_line(lines: Iterable[str], graph: Graph):
-    edge_of = {(u, v): k for k, (u, v) in enumerate(graph.edges.tolist())}
-    edges: list[int] = []
-    label_fields: list[str] = []
-    for n, line in _data_lines(lines):
-        fields = line.split()
-        if len(fields) != 3:
-            raise ParseError(f"line {n}: expected 'src dst labels', got {len(fields)} fields")
-        src, dst, label_field = fields
-        try:
-            u, v = graph.index[src], graph.index[dst]
-        except KeyError as exc:
-            raise ValidationError(f"line {n}: unknown node {exc.args[0]!r}") from None
-        edge = edge_of.get((min(u, v), max(u, v)))
-        if edge is None:
-            raise ValidationError(f"line {n}: {src!r} {dst!r} is not an edge of the graph")
-        _check_labels(label_field, n)
-        edges.append(edge)
-        label_fields.append(label_field)
-    return _labeled_edges(_label_arrays(np.asarray(edges, dtype=np.int64), label_fields), graph)
+    at = order[np.searchsorted(keys[order], wanted)]
+    arrays = _label_arrays(at, label_fields)
+    _raise_first(
+        line_no, bad,
+        (_first(u < 0), lambda r: f"unknown node {src[r]!r}"),
+        (_first(v < 0), lambda r: f"unknown node {dst[r]!r}"),
+        (_first(keys[at] != wanted),
+         lambda r: f"{src[r]!r} {dst[r]!r} is not an edge of the graph"),
+        (arrays if isinstance(arrays, int) else len(at),
+         lambda r: f"empty label in {label_fields[r]!r}"))
+    vocab, edges, targets = arrays
+    return vocab, LabeledEdgeSet(edges=edges, targets=targets, num_edges=graph.num_edges)
 
 
 def split_labeled_edges(
@@ -354,46 +306,19 @@ def load_node_labels(
     """
     if on_missing not in ("error", "skip"):
         raise ConfigError(f"on_missing must be 'error' or 'skip', got {on_missing!r}")
-    return _parse(lines, 2, _node_labels_from_fields, _node_labels_by_line, index_of,
-                  on_missing)
-
-
-def _labeled_nodes(arrays, skipped: list[str]):
-    if arrays is None:
-        return None
-    vocab, nodes, targets = arrays
-    return NodeLabelSet(vocab=vocab, nodes=nodes, targets=targets), skipped
-
-
-def _node_labels_from_fields(fields: list[str], index_of: Mapping[str, int], on_missing: str):
+    fields, line_no, bad = _data_fields(lines, "node labels")
     names, label_fields = fields[0::2], fields[1::2]
     nodes = _lookup(index_of, names)
     found = nodes >= 0
-    skipped: list[str] = []
-    if not found.all():
-        if on_missing == "error":
-            return None
-        skipped = list(compress(names, (~found).tolist()))
-        label_fields = list(compress(label_fields, found.tolist()))
-    return _labeled_nodes(_label_arrays(nodes[found], label_fields), skipped)
-
-
-def _node_labels_by_line(lines: Iterable[str], index_of: Mapping[str, int], on_missing: str):
-    nodes: list[int] = []
-    label_fields: list[str] = []
-    skipped: list[str] = []
-    for n, line in _data_lines(lines):
-        fields = line.split()
-        if len(fields) != 2:
-            raise ParseError(f"line {n}: expected 'node labels', got {len(fields)} fields")
-        token, label_field = fields
-        node = index_of.get(token)
-        if node is None:
-            if on_missing == "error":
-                raise ValidationError(f"line {n}: unknown node {token!r}")
-            skipped.append(token)
-            continue
-        _check_labels(label_field, n)
-        nodes.append(node)
-        label_fields.append(label_field)
-    return _labeled_nodes(_label_arrays(np.asarray(nodes, dtype=np.int64), label_fields), skipped)
+    kept = np.flatnonzero(found)
+    # A skipped node's labels are not checked.
+    arrays = _label_arrays(nodes[kept], list(compress(label_fields, found.tolist())))
+    _raise_first(
+        line_no, bad,
+        (_first(~found) if on_missing == "error" else len(names),
+         lambda r: f"unknown node {names[r]!r}"),
+        (kept[arrays] if isinstance(arrays, int) else len(names),
+         lambda r: f"empty label in {label_fields[r]!r}"))
+    vocab, nodes, targets = arrays
+    skipped = list(compress(names, (~found).tolist()))
+    return NodeLabelSet(vocab=vocab, nodes=nodes, targets=targets), skipped

@@ -6,7 +6,8 @@ they check the vectorized implementations from outside.
 
 import numpy as np
 
-from edgewalk.errors import ConfigError, NumericsError, ValidationError
+from edgewalk.errors import ConfigError, NumericsError, ParseError, ValidationError
+from edgewalk.graph import Graph, LabeledEdgeSet, LabelVocabulary, NodeLabelSet
 from edgewalk.relational import _clamped_bce
 
 FD_STEP = 1e-5
@@ -194,3 +195,107 @@ def update_rows_reference(optimizer, param, m, v, rows, grads, bc1, bc2, block):
     m_hat = m[rows] / bc1
     v_hat = v[rows] / bc2
     param[rows] -= optimizer.lr * m_hat / (np.sqrt(v_hat) + optimizer.eps)
+
+
+# Line-at-a-time parsers for the three graph input formats. They read one
+# stripped line after another, check it in a fixed order and raise at the
+# first line that fails, so they give the result and the error message that
+# the array-based loaders in ``edgewalk.graph`` must reproduce.
+
+
+def _data_lines(lines):
+    """Yield (line_number, fields) of each data line. A stream is split into
+    lines at newlines only; any other iterable holds one line per string."""
+    if hasattr(lines, "read"):
+        lines = lines.read().split("\n")
+    for n, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield n, line.split()
+
+
+def _graph_of(index, edges):
+    """A Graph from interned ids and (lo, hi) edges, with CSR rows built one
+    node at a time."""
+    nbrs = [[] for _ in index]
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return Graph(ids=tuple(index), index=index,
+                 edges=np.array(edges, dtype=np.int64).reshape(len(edges), 2),
+                 adj_indptr=np.cumsum([0] + [len(row) for row in nbrs], dtype=np.int64),
+                 adj_indices=np.array([w for row in nbrs for w in sorted(row)], dtype=np.int64))
+
+
+def _check_labels(field, n):
+    if "" in field.split(","):
+        raise ValidationError(f"line {n}: empty label in {field!r}")
+
+
+def _label_rows(rows):
+    """(vocabulary, sorted owners, bool multi-hot rows) from (owner, label
+    field) pairs, the vocabulary in first-seen order."""
+    vocab, per_owner = {}, {}
+    for owner, field in rows:
+        for name in field.split(","):
+            per_owner.setdefault(owner, set()).add(vocab.setdefault(name, len(vocab)))
+    owners = sorted(per_owner)
+    targets = np.zeros((len(owners), len(vocab)), dtype=bool)
+    for row, owner in enumerate(owners):
+        targets[row, sorted(per_owner[owner])] = True
+    return (LabelVocabulary(labels=tuple(vocab), index=vocab),
+            np.array(owners, dtype=np.int64), targets)
+
+
+def edge_list_by_line(lines):
+    """Reference for ``load_edge_list``."""
+    index, edges = {}, []
+    for n, fields in _data_lines(lines):
+        if len(fields) != 2:
+            raise ParseError(f"line {n}: expected 'src dst', got {len(fields)} fields")
+        if fields[0] == fields[1]:
+            raise ValidationError(f"line {n}: self-loop on node {fields[0]!r}")
+        u, v = (index.setdefault(f, len(index)) for f in fields)
+        key = (min(u, v), max(u, v))
+        if key not in edges:
+            edges.append(key)
+    return _graph_of(index, edges)
+
+
+def edge_labels_by_line(lines, graph):
+    """Reference for ``load_edge_labels``."""
+    edge_of = {(u, v): k for k, (u, v) in enumerate(graph.edges.tolist())}
+    rows = []
+    for n, fields in _data_lines(lines):
+        if len(fields) != 3:
+            raise ParseError(f"line {n}: expected 'src dst labels', got {len(fields)} fields")
+        src, dst, label_field = fields
+        for name in (src, dst):
+            if name not in graph.index:
+                raise ValidationError(f"line {n}: unknown node {name!r}")
+        u, v = graph.index[src], graph.index[dst]
+        edge = edge_of.get((min(u, v), max(u, v)))
+        if edge is None:
+            raise ValidationError(f"line {n}: {src!r} {dst!r} is not an edge of the graph")
+        _check_labels(label_field, n)
+        rows.append((edge, label_field))
+    vocab, edges, targets = _label_rows(rows)
+    return vocab, LabeledEdgeSet(edges=edges, targets=targets, num_edges=graph.num_edges)
+
+
+def node_labels_by_line(lines, index_of, on_missing="error"):
+    """Reference for ``load_node_labels``."""
+    rows, skipped = [], []
+    for n, fields in _data_lines(lines):
+        if len(fields) != 2:
+            raise ParseError(f"line {n}: expected 'node labels', got {len(fields)} fields")
+        token, label_field = fields
+        if token not in index_of:
+            if on_missing == "error":
+                raise ValidationError(f"line {n}: unknown node {token!r}")
+            skipped.append(token)
+            continue
+        _check_labels(label_field, n)
+        rows.append((index_of[token], label_field))
+    vocab, nodes, targets = _label_rows(rows)
+    return NodeLabelSet(vocab=vocab, nodes=nodes, targets=targets), skipped

@@ -121,6 +121,34 @@ def test_failed_train_write_leaves_nothing_under_final_name(synth_dir, tmp_path,
     assert not list(tmp_path.glob("*.tmp"))
 
 
+def fail_after_writing(*args):
+    """Write a line to each stream argument, then fail as a full disk does."""
+    for arg in args:
+        if hasattr(arg, "write"):
+            arg.write("a b\n")
+    raise OSError("No space left on device")
+
+
+@pytest.mark.parametrize("command, target, names", [
+    ("synth", "edgewalk.cli.write_dataset",
+     ["graph.edges", "graph.edge_labels", "graph.node_labels"]),
+    ("walk", "edgewalk.cli.write_walks", ["walks.txt"]),
+])
+def test_failed_synth_or_walk_write_leaves_nothing_under_final_name(
+        synth_dir, tmp_path, capsys, monkeypatch, command, target, names):
+    monkeypatch.setattr(target, fail_after_writing)
+    if command == "synth":
+        argv = ["synth", "--communities", "3", "--community-size", "8", "--p-in", "0.5",
+                "--p-out", "0.05", "--out-dir", str(tmp_path)]
+    else:
+        argv = ["walk", str(synth_dir / "graph.edges"), "--walks-per-node", "1",
+                "--walk-length", "3", "--out", str(tmp_path / "walks.txt")]
+    assert main(argv) == 2
+    assert "error: No space left on device" in capsys.readouterr().err
+    assert not any((tmp_path / name).exists() for name in names)
+    assert not list(tmp_path.glob("*.tmp"))
+
+
 def test_train_lambda_zero_without_labels(synth_dir, tmp_path):
     rc = main(["train", str(synth_dir / "graph.edges"), "--lambda", "0",
                "--out-dir", str(tmp_path), *TINY_TRAIN_FLAGS])

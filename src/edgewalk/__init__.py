@@ -28,9 +28,7 @@ from .errors import (  # noqa: E402
 )
 from .graph import (  # noqa: E402
     Graph,
-    LabeledEdgeSet,
-    LabelVocabulary,
-    NodeLabelSet,
+    LabelSet,
     load_edge_labels,
     load_edge_list,
     load_node_labels,
@@ -70,10 +68,8 @@ __all__ = [
     "EvalConfig",
     "EvalReport",
     "Graph",
-    "LabelVocabulary",
-    "LabeledEdgeSet",
+    "LabelSet",
     "MlpParams",
-    "NodeLabelSet",
     "NoiseDistribution",
     "NumericsError",
     "ParseError",

@@ -132,7 +132,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     labeled = None
     if args.edge_labels:
         with open(args.edge_labels) as fh:
-            _, labeled = load_edge_labels(fh, graph)
+            labeled = load_edge_labels(fh, graph)
 
     corpus = None
     cache = Path(args.walk_cache) if args.walk_cache else None
@@ -179,7 +179,7 @@ def _aligned_eval_inputs(embedding_path: str, node_label_path: str, strict: bool
                                               on_missing="error" if strict else "skip")
     for name in skipped:
         log.warning("node %r has labels but no embedding; excluded", name)
-    return matrix[label_set.nodes], label_set.targets
+    return matrix[label_set.owners], label_set.targets
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -247,7 +247,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     with open(args.edges) as fh:
         graph = load_edge_list(fh)
     with open(args.edge_labels) as fh:
-        _, full_labels = load_edge_labels(fh, graph)
+        full_labels = load_edge_labels(fh, graph)
     with open(args.node_labels) as fh:
         node_label_set, skipped = load_node_labels(fh, graph.index, on_missing="skip")
     for name in skipped:
@@ -276,7 +276,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             labeled, _ = split_labeled_edges(full_labels, float(value), base.seed)
         config.validate()
         result = train(graph, labeled if config.lambda_ > 0 else None, config)
-        report = node_classification_experiment(result.tables.center[node_label_set.nodes],
+        report = node_classification_experiment(result.tables.center[node_label_set.owners],
                                                 node_label_set.targets, eval_config)
         series.append((value, report.means[0], report.stds[0]))
         log.info("%s=%s -> macro_f1 %.4f (+/- %.4f)", args.parameter, value,
@@ -366,8 +366,8 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except (EdgewalkError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (EdgewalkError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

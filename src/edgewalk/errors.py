@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the allocation size check."""
+
+import math
+import os
+
+# Physical memory; without sysconf (Windows) numpy's own checks apply.
+MEMORY_BYTES = (os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+                if hasattr(os, "sysconf") else math.inf)
 
 
 class EdgewalkError(Exception):
@@ -27,3 +34,9 @@ class NumericsError(EdgewalkError):
     def __init__(self, message, report=None):
         super().__init__(message)
         self.report = report
+
+
+def check_allocatable(what: str, *shape: int) -> None:
+    """Refuse an array of ``shape`` (8-byte items) larger than physical memory."""
+    if math.prod(shape) * 8 > MEMORY_BYTES:
+        raise ConfigError(f"{what} of shape {shape} needs more memory than this machine has")

@@ -80,7 +80,6 @@ def _logreg_objective(theta, x, sign, l2):
 
 
 def fit_binary_logreg(features: np.ndarray, positive: np.ndarray, l2_strength: float,
-                      grad_tol: float = SOLVER_GRAD_TOL,
                       max_iter: int = SOLVER_MAX_ITER) -> tuple[np.ndarray, float]:
     """L-BFGS solve of one binary L2-regularized logistic regression.
 
@@ -92,7 +91,8 @@ def fit_binary_logreg(features: np.ndarray, positive: np.ndarray, l2_strength: f
     theta0 = np.zeros(x.shape[1] + 1)
     res = minimize(_logreg_objective, theta0, args=(x, sign, l2_strength),
                    jac=True, method="L-BFGS-B",
-                   options={"gtol": grad_tol, "maxiter": max_iter, "maxfun": 20 * max_iter})
+                   options={"gtol": SOLVER_GRAD_TOL, "maxiter": max_iter,
+                            "maxfun": 20 * max_iter})
     return res.x[:-1], float(res.x[-1])
 
 

@@ -1,4 +1,4 @@
-"""Undirected graph store plus the partially labeled edge partition.
+"""Undirected graph store plus the label sets of its edges and nodes.
 
 Input formats (fields separated by any run of whitespace, which is what
 ``str.split()`` sees, Unicode included; ``#`` starts a comment line, blank
@@ -10,8 +10,10 @@ lines ignored):
 
 Node ids are arbitrary tokens and are interned to dense indices in
 first-seen order, so repeated loads of the same file produce identical
-index assignments. All structures here are immutable after load and safe
-to share across threads.
+index assignments. Each label file loads as one :class:`LabelSet`: the
+sorted labeled edge or node indices with a multi-hot row over the file's
+labels. All structures here are immutable after load and safe to share
+across threads.
 
 Each loader parses its whole input with array operations in one path. A
 malformed input raises the error of its earliest bad line, named by number.
@@ -137,54 +139,23 @@ class Graph:
 
 
 @dataclass(frozen=True)
-class LabelVocabulary:
-    """Ordered set of distinct label strings; index is stable for a run."""
+class LabelSet:
+    """The labeled edges or nodes of a graph, as arrays: the ``labels`` in
+    first-seen order, the labeled indices ``owners`` (sorted, int64), and
+    the bool multi-hot ``targets``, whose row ``i`` marks the labels of
+    ``owners[i]``, at least one. Every other index is unlabeled."""
 
     labels: tuple[str, ...]
-    index: Mapping[str, int]
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-
-@dataclass(frozen=True)
-class LabeledEdgeSet:
-    """The labeled edges of a graph with ``num_edges`` edges, as arrays.
-
-    ``edges`` holds the labeled edge indices, sorted ascending (int64);
-    row ``i`` of the bool multi-hot matrix ``targets`` marks the label
-    indices of ``edges[i]``, one column per vocabulary entry, at least one
-    set per row. Every other edge index is unlabeled.
-    """
-
-    edges: np.ndarray
+    owners: np.ndarray
     targets: np.ndarray
-    num_edges: int
 
     @property
     def num_labeled(self) -> int:
-        return len(self.edges)
+        return len(self.owners)
 
     @property
     def num_labels(self) -> int:
-        return self.targets.shape[1]
-
-
-@dataclass(frozen=True)
-class NodeLabelSet:
-    """Per-node labels over their own vocabulary (evaluation only).
-
-    ``nodes`` holds the labeled node indices, sorted ascending (int64);
-    row ``i`` of the bool multi-hot matrix ``targets`` (one column per
-    ``vocab`` entry) marks the labels of ``nodes[i]``.
-    """
-
-    vocab: LabelVocabulary
-    nodes: np.ndarray
-    targets: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self.labels)
 
 
 def load_edge_list(lines: Iterable[str]) -> Graph:
@@ -223,28 +194,27 @@ def _build_graph(index: dict[str, int], edge_arr: np.ndarray) -> Graph:
     )
 
 
-def _label_arrays(owners: np.ndarray, label_fields: list[str]):
-    """(vocabulary, sorted distinct owners, bool multi-hot rows) from each
-    row's owner index (int64) and comma-separated label field, or the first
-    row with an empty label. The vocabulary is in first-seen order and
-    repeated pairs collapse."""
+def _label_set(owners: np.ndarray, label_fields: list[str]) -> tuple[LabelSet | None, int]:
+    """The :class:`LabelSet` of each row's owner index (int64) and
+    comma-separated label field, with the row count; or None with the first
+    row that holds an empty label. Repeated pairs collapse."""
     labels = ",".join(label_fields).split(",") if label_fields else []
     per_row = np.fromiter(map(str.count, label_fields, repeat(",")), np.int64, len(label_fields))
     if "" in labels:
-        return int(np.searchsorted(np.cumsum(per_row + 1), labels.index(""), side="right"))
+        return None, int(np.searchsorted(np.cumsum(per_row + 1), labels.index(""), side="right"))
     index, columns = _intern(labels)
     keys, rows = np.unique(np.repeat(owners, per_row + 1), return_inverse=True)
     targets = np.zeros((len(keys), len(index)), dtype=bool)
     targets[rows, columns] = True
-    return LabelVocabulary(labels=tuple(index), index=index), _frozen(keys), _frozen(targets)
+    return LabelSet(tuple(index), _frozen(keys), _frozen(targets)), len(label_fields)
 
 
-def load_edge_labels(lines: Iterable[str], graph: Graph) -> tuple[LabelVocabulary, LabeledEdgeSet]:
-    """Parse an edge-label stream against ``graph``.
+def load_edge_labels(lines: Iterable[str], graph: Graph) -> LabelSet:
+    """Parse an edge-label stream against ``graph`` into a :class:`LabelSet`.
 
     Edges listed become the labeled part, with the union of all labels
     seen for an edge across lines; every other graph edge is unlabeled.
-    The vocabulary is built from observed labels in first-seen order.
+    The labels are the observed ones, in first-seen order.
     """
     fields, line_no, bad = _data_fields(lines, "src dst labels")
     src, dst, label_fields = fields[0::3], fields[1::3], fields[2::3]
@@ -256,26 +226,24 @@ def load_edge_labels(lines: Iterable[str], graph: Graph) -> tuple[LabelVocabular
     order = np.argsort(keys)
     wanted = np.minimum(u, v) * n + np.maximum(u, v)
     at = order[np.searchsorted(keys[order], wanted)]
-    arrays = _label_arrays(at, label_fields)
+    label_set, empty = _label_set(at, label_fields)
     _raise_first(
         line_no, bad,
         (_first(u < 0), lambda r: f"unknown node {src[r]!r}"),
         (_first(v < 0), lambda r: f"unknown node {dst[r]!r}"),
         (_first(keys[at] != wanted),
          lambda r: f"{src[r]!r} {dst[r]!r} is not an edge of the graph"),
-        (arrays if isinstance(arrays, int) else len(at),
-         lambda r: f"empty label in {label_fields[r]!r}"))
-    vocab, edges, targets = arrays
-    return vocab, LabeledEdgeSet(edges=edges, targets=targets, num_edges=graph.num_edges)
+        (empty, lambda r: f"empty label in {label_fields[r]!r}"))
+    return label_set
 
 
-def split_labeled_edges(
-    edge_set: LabeledEdgeSet, train_fraction: float, seed: int
-) -> tuple[LabeledEdgeSet, LabeledEdgeSet]:
+def split_labeled_edges(edge_set: LabelSet, train_fraction: float,
+                        seed: int) -> tuple[LabelSet, LabelSet]:
     """Randomly partition the labeled edges into train and validation parts.
 
     The train part receives ``ceil(train_fraction * num_labeled)`` edges;
-    both parts keep the ascending edge order. Deterministic for a fixed seed.
+    both parts keep the ascending edge order and all of ``edge_set``'s
+    labels. Deterministic for a fixed seed.
     """
     if not 0.0 < train_fraction <= 1.0:
         raise ConfigError(f"train_fraction must be in (0, 1], got {train_fraction}")
@@ -284,22 +252,19 @@ def split_labeled_edges(
     perm = np.random.default_rng(seed).permutation(edge_set.num_labeled)
     n_train = math.ceil(train_fraction * edge_set.num_labeled)
 
-    def subset(rows: np.ndarray) -> LabeledEdgeSet:
+    def subset(rows: np.ndarray) -> LabelSet:
         rows = np.sort(rows)
-        return LabeledEdgeSet(edges=_frozen(edge_set.edges[rows]),
-                              targets=_frozen(edge_set.targets[rows]),
-                              num_edges=edge_set.num_edges)
+        return LabelSet(edge_set.labels, _frozen(edge_set.owners[rows]),
+                        _frozen(edge_set.targets[rows]))
 
     return subset(perm[:n_train]), subset(perm[n_train:])
 
 
-def load_node_labels(
-    lines: Iterable[str],
-    index_of: Mapping[str, int],
-    on_missing: str = "error",
-) -> tuple[NodeLabelSet, list[str]]:
+def load_node_labels(lines: Iterable[str], index_of: Mapping[str, int],
+                     on_missing: str = "error") -> tuple[LabelSet, list[str]]:
     """Parse a node-label stream keyed by ``index_of`` (id -> dense index).
 
+    Returns the :class:`LabelSet` of the known nodes and the skipped ids.
     ``on_missing`` controls what happens for ids absent from ``index_of``:
     ``"error"`` raises, ``"skip"`` collects them in the returned list and
     moves on. Labels for a node listed on several lines are unioned.
@@ -312,13 +277,11 @@ def load_node_labels(
     found = nodes >= 0
     kept = np.flatnonzero(found)
     # A skipped node's labels are not checked.
-    arrays = _label_arrays(nodes[kept], list(compress(label_fields, found.tolist())))
+    label_set, empty = _label_set(nodes[kept], list(compress(label_fields, found.tolist())))
     _raise_first(
         line_no, bad,
         (_first(~found) if on_missing == "error" else len(names),
          lambda r: f"unknown node {names[r]!r}"),
-        (kept[arrays] if isinstance(arrays, int) else len(names),
+        (kept[empty] if label_set is None else len(names),
          lambda r: f"empty label in {label_fields[r]!r}"))
-    vocab, nodes, targets = arrays
-    skipped = list(compress(names, (~found).tolist()))
-    return NodeLabelSet(vocab=vocab, nodes=nodes, targets=targets), skipped
+    return label_set, list(compress(names, (~found).tolist()))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .errors import ConfigError, NumericsError, ParseError, ValidationError
+from .errors import ConfigError, NumericsError, ParseError, ValidationError, check_allocatable
 
 
 @dataclass
@@ -28,10 +28,6 @@ class EmbeddingTables:
     context: np.ndarray
 
     @property
-    def num_nodes(self) -> int:
-        return self.center.shape[0]
-
-    @property
     def dim(self) -> int:
         return self.center.shape[1]
 
@@ -40,6 +36,7 @@ def init_embeddings(node_count: int, dim: int, seed: int, dtype=np.float64) -> E
     """Center rows uniform in [-0.5/dim, 0.5/dim], context rows zero."""
     if dim < 1:
         raise ConfigError(f"dim must be >= 1, got {dim}")
+    check_allocatable("embedding table", node_count, dim)
     rng = np.random.default_rng(seed)
     bound = 0.5 / dim
     center = rng.uniform(-bound, bound, size=(node_count, dim)).astype(dtype)
@@ -89,14 +86,12 @@ def accumulate_rows(rows: np.ndarray, grads: np.ndarray, weights: np.ndarray | N
 class AdamOptimizer:
     """Lazy sparse Adam over the embedding tables and optional MLP params."""
 
-    def __init__(self, tables: EmbeddingTables, mlp=None, lr: float = 0.01,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, tables: EmbeddingTables, mlp=None, lr: float = 0.01):
         self.tables = tables
         self.mlp = mlp
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m_center = np.zeros_like(tables.center)
         self._v_center = np.zeros_like(tables.center)

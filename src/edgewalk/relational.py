@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .errors import NumericsError, ValidationError
+from .errors import NumericsError, ValidationError, check_allocatable
 from .params import EmbeddingTables, SparseGrad, accumulate_rows
 
 PROB_FLOOR = 1e-12  # predicted probabilities are clamped to [floor, 1 - floor]
@@ -35,6 +35,7 @@ def init_mlp(input_dim: int, hidden_dim: int, output_dim: int,
     sizes = [input_dim, hidden_dim, output_dim]
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes, sizes[1:]):
+        check_allocatable("classifier layer", fan_out, fan_in)
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)).astype(dtype))
         biases.append(np.zeros(fan_out, dtype=dtype))
@@ -91,15 +92,9 @@ def relational_loss(edges: np.ndarray, targets: np.ndarray, tables: EmbeddingTab
     return float(_clamped_bce(np.asarray(targets, dtype=np.float64), y_hat).mean())
 
 
-@dataclass
-class RelationalBatchResult:
-    loss: float
-    grads: SparseGrad
-
-
 def relational_backward(edges: np.ndarray, targets: np.ndarray, tables: EmbeddingTables,
-                        params: MlpParams) -> RelationalBatchResult:
-    """Loss plus exact gradients of the mean batch cross-entropy.
+                        params: MlpParams) -> tuple[float, SparseGrad]:
+    """(loss, gradients): the mean batch cross-entropy and its exact gradients.
 
     Gradients cover every classifier weight and bias and the endpoint rows
     of the center table (through the concatenation); the context table gets
@@ -131,10 +126,9 @@ def relational_backward(edges: np.ndarray, targets: np.ndarray, tables: Embeddin
     row_grads = np.concatenate([d_x[:, :dim], d_x[:, dim:]])
     center_rows, center_grads = accumulate_rows(rows, row_grads)
 
-    grad = SparseGrad(
+    return loss, SparseGrad(
         center_rows=center_rows,
         center_grads=center_grads,
         mlp_weight_grads=weight_grads,
         mlp_bias_grads=bias_grads,
     )
-    return RelationalBatchResult(loss=loss, grads=grad)

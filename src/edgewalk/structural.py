@@ -90,11 +90,10 @@ def loss_and_grads(
         weights=np.concatenate([d_pos, d_neg.ravel()]),
         sources=np.concatenate([pair, np.repeat(pair, negatives.shape[1])]))
 
-    grad = SparseGrad(
+    return float(loss), SparseGrad(
         center_rows=center_rows,
         center_grads=center_grads,
         context_rows=context_rows,
         context_grads=context_grads,
     )
-    return float(loss), grad
 

@@ -17,7 +17,9 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ValidationError, check_allocatable
+
+MAX_ATTEMPTS = 20  # connectivity retries before giving up
 
 
 @dataclass(frozen=True)
@@ -39,8 +41,7 @@ def _connected(num_nodes: int, edges: np.ndarray) -> bool:
 
 
 def generate_planted_partition(communities: int, community_size: int, p_in: float,
-                               p_out: float, label_fraction: float, seed: int,
-                               max_attempts: int = 20) -> SynthDataset:
+                               p_out: float, label_fraction: float, seed: int) -> SynthDataset:
     if communities < 2:
         raise ConfigError(f"need at least 2 communities, got {communities}")
     if community_size < 4:
@@ -51,12 +52,13 @@ def generate_planted_partition(communities: int, community_size: int, p_in: floa
         raise ConfigError(f"label_fraction must be in (0, 1], got {label_fraction}")
 
     n = communities * community_size
+    check_allocatable("node-pair table", n * (n - 1) // 2)
     membership = np.repeat(np.arange(communities), community_size)
     iu, ju = np.triu_indices(n, k=1)
     same = membership[iu] == membership[ju]
     p = np.where(same, p_in, p_out)
 
-    for attempt in range(max_attempts):
+    for attempt in range(MAX_ATTEMPTS):
         rng = np.random.default_rng(np.random.SeedSequence([seed, attempt]))
         keep = rng.random(len(iu)) < p
         edges = np.column_stack([iu[keep], ju[keep]])
@@ -77,7 +79,7 @@ def generate_planted_partition(communities: int, community_size: int, p_in: floa
             seed=seed,
         )
     raise ValidationError(
-        f"no connected graph in {max_attempts} attempts; raise p_in/p_out or sizes")
+        f"no connected graph in {MAX_ATTEMPTS} attempts; raise p_in/p_out or sizes")
 
 
 def write_dataset(dataset: SynthDataset, edges_stream, edge_labels_stream,

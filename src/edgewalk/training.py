@@ -26,8 +26,8 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import relational, structural, walks
-from .errors import ConfigError, NumericsError
-from .graph import Graph, LabeledEdgeSet, split_labeled_edges
+from .errors import ConfigError, NumericsError, check_allocatable
+from .graph import Graph, LabelSet, split_labeled_edges
 from .params import AdamOptimizer, EmbeddingTables, init_embeddings
 
 # Substream tags: keep these stable or saved seeds stop reproducing runs.
@@ -169,7 +169,7 @@ def schedule_counts(batches_per_round: int, lambda_: float) -> tuple[int, int]:
     return n_structural, batches_per_round - n_structural
 
 
-def train(graph: Graph, labeled_edges: LabeledEdgeSet | None, config: TrainConfig,
+def train(graph: Graph, labeled_edges: LabelSet | None, config: TrainConfig,
           corpus: walks.WalkCorpus | None = None) -> TrainResult:
     """Run the joint training loop and return tables, classifier and report.
 
@@ -197,9 +197,9 @@ def train(graph: Graph, labeled_edges: LabeledEdgeSet | None, config: TrainConfi
                 labeled_edges, 1.0 - config.validation_fraction, _derive_seed(seed, _S_SPLIT))
         else:
             train_set, val_set = labeled_edges, None
-        train_edges, train_targets = graph.edges[train_set.edges], train_set.targets.astype(dtype)
+        train_edges, train_targets = graph.edges[train_set.owners], train_set.targets.astype(dtype)
         if val_set is not None and val_set.num_labeled:
-            val_edges, val_targets = graph.edges[val_set.edges], val_set.targets.astype(dtype)
+            val_edges, val_targets = graph.edges[val_set.owners], val_set.targets.astype(dtype)
 
     optimizer = AdamOptimizer(tables, mlp=mlp, lr=config.lr)
     n_structural, n_relational = schedule_counts(config.batches_per_round, config.lambda_)
@@ -222,6 +222,11 @@ def train(graph: Graph, labeled_edges: LabeledEdgeSet | None, config: TrainConfi
         # Pure skip-gram: one corpus pass per round, fixed round budget.
         n_structural = max(1, math.ceil(capacity / config.structural_batch))
         max_rounds = config.unsupervised_rounds
+    # The largest arrays of a step: negatives' context rows, edge vectors.
+    if n_structural:
+        check_allocatable("skip-gram batch", config.structural_batch, config.negatives, config.dim)
+    if n_relational:
+        check_allocatable("relational batch", config.relational_batch, 2 * config.dim)
 
     stopper = EarlyStopTracker(config.early_stop_window)
     stop_reason = "max_rounds"
@@ -250,12 +255,12 @@ def train(graph: Graph, labeled_edges: LabeledEdgeSet | None, config: TrainConfi
             r_losses = []
             for _ in range(n_relational):
                 idx = edge_rng.integers(0, len(train_edges), size=config.relational_batch)
-                result = relational.relational_backward(train_edges[idx], train_targets[idx],
-                                                        tables, mlp)
-                if not math.isfinite(result.loss):
+                loss, grads = relational.relational_backward(train_edges[idx], train_targets[idx],
+                                                             tables, mlp)
+                if not math.isfinite(loss):
                     raise NumericsError(f"relational loss diverged in round {round_no}")
-                optimizer.step(result.grads)
-                r_losses.append(result.loss)
+                optimizer.step(grads)
+                r_losses.append(loss)
 
             s_mean = float(np.mean(s_losses)) if s_losses else math.nan
             r_mean = float(np.mean(r_losses)) if r_losses else math.nan

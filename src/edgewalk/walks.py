@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, ValidationError
+from .errors import ConfigError, ParseError, ValidationError, check_allocatable
 from .graph import Graph
 
 
@@ -55,6 +55,7 @@ def generate_walks(graph: Graph, walks_per_node: int, walk_length: int, seed: in
     degrees = graph.degrees
     if graph.num_nodes == 0 or (degrees == 0).any():
         raise ValidationError("walk generation requires every node to have degree >= 1")
+    check_allocatable("walk corpus", graph.num_nodes * walks_per_node, walk_length)
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     walks = np.empty((graph.num_nodes * walks_per_node, walk_length), dtype=np.int64)

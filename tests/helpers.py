@@ -18,9 +18,9 @@ def load_synth(dataset):
     """Round a generated dataset through the text formats and loaders."""
     e, el, nl = dataset_streams(dataset)
     graph = load_edge_list(io.StringIO(e))
-    vocab, labeled = load_edge_labels(io.StringIO(el), graph)
+    labeled = load_edge_labels(io.StringIO(el), graph)
     node_labels, _ = load_node_labels(io.StringIO(nl), graph.index)
-    return graph, vocab, labeled, node_labels
+    return graph, labeled, node_labels
 
 
 def toy_community_inputs(seed=0, communities=3, size=10, p_in=0.5, p_out=0.05,

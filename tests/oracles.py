@@ -7,7 +7,7 @@ they check the vectorized implementations from outside.
 import numpy as np
 
 from edgewalk.errors import ConfigError, NumericsError, ParseError, ValidationError
-from edgewalk.graph import Graph, LabeledEdgeSet, LabelVocabulary, NodeLabelSet
+from edgewalk.graph import Graph, LabelSet
 from edgewalk.relational import _clamped_bce
 
 FD_STEP = 1e-5
@@ -233,8 +233,8 @@ def _check_labels(field, n):
 
 
 def _label_rows(rows):
-    """(vocabulary, sorted owners, bool multi-hot rows) from (owner, label
-    field) pairs, the vocabulary in first-seen order."""
+    """The LabelSet of (owner, label field) pairs, labels in first-seen
+    order."""
     vocab, per_owner = {}, {}
     for owner, field in rows:
         for name in field.split(","):
@@ -243,8 +243,7 @@ def _label_rows(rows):
     targets = np.zeros((len(owners), len(vocab)), dtype=bool)
     for row, owner in enumerate(owners):
         targets[row, sorted(per_owner[owner])] = True
-    return (LabelVocabulary(labels=tuple(vocab), index=vocab),
-            np.array(owners, dtype=np.int64), targets)
+    return LabelSet(tuple(vocab), np.array(owners, dtype=np.int64), targets)
 
 
 def edge_list_by_line(lines):
@@ -279,8 +278,7 @@ def edge_labels_by_line(lines, graph):
             raise ValidationError(f"line {n}: {src!r} {dst!r} is not an edge of the graph")
         _check_labels(label_field, n)
         rows.append((edge, label_field))
-    vocab, edges, targets = _label_rows(rows)
-    return vocab, LabeledEdgeSet(edges=edges, targets=targets, num_edges=graph.num_edges)
+    return _label_rows(rows)
 
 
 def node_labels_by_line(lines, index_of, on_missing="error"):
@@ -297,5 +295,4 @@ def node_labels_by_line(lines, index_of, on_missing="error"):
             continue
         _check_labels(label_field, n)
         rows.append((index_of[token], label_field))
-    vocab, nodes, targets = _label_rows(rows)
-    return NodeLabelSet(vocab=vocab, nodes=nodes, targets=targets), skipped
+    return _label_rows(rows), skipped

@@ -65,11 +65,11 @@ def synth_inputs(graph_seed, label_fraction):
 @lru_cache(maxsize=None)
 def experiment_scores(graph_seed, lambda_, label_fraction, dim, lr, max_rounds):
     """Train on one synthetic graph, return the 5%%-ratio repeat scores."""
-    graph, _, labeled, node_labels = synth_inputs(graph_seed, label_fraction)
+    graph, labeled, node_labels = synth_inputs(graph_seed, label_fraction)
     config = desk_config(lambda_=lambda_, dim=dim, lr=lr, max_rounds=max_rounds)
     result = train(graph, labeled if lambda_ > 0 else None, config)
     report = node_classification_experiment(
-        result.tables.center[node_labels.nodes],
+        result.tables.center[node_labels.owners],
         node_labels.targets,
         EvalConfig(train_ratios=(0.05,), repeats=10, seed=1),
     )
@@ -132,14 +132,13 @@ def test_criterion_1_gradient_oracle():
         worst = max(worst, relative_error(dense_c, fd_c), relative_error(dense_q, fd_q))
     for _ in range(110):
         tables, mlp, edges, targets = random_relational_instance(rng)
-        result = relational_backward(edges, targets, tables, mlp)
-        dense_c = scatter_rows(result.grads.center_rows, result.grads.center_grads,
-                               tables.center.shape)
+        _, grads = relational_backward(edges, targets, tables, mlp)
+        dense_c = scatter_rows(grads.center_rows, grads.center_grads, tables.center.shape)
         arrays = [tables.center] + mlp.weights + mlp.biases
         fd = finite_difference(
             lambda: relational_loss(edges, targets, tables, mlp), arrays)
         worst = max(worst, relative_error(dense_c, fd[0]))
-        analytic = result.grads.mlp_weight_grads + result.grads.mlp_bias_grads
+        analytic = grads.mlp_weight_grads + grads.mlp_bias_grads
         for a, f in zip(analytic, fd[1:]):
             worst = max(worst, relative_error(a, f))
     elapsed = time.perf_counter() - started
@@ -166,7 +165,7 @@ def test_criterion_2_softmax_normalization():
 
 
 def test_criterion_3_lambda_zero_degeneracy(monkeypatch):
-    graph, _, labeled, _ = synth_inputs(0, 0.1)
+    graph, labeled, _ = synth_inputs(0, 0.1)
     config = desk_config(lambda_=0.0, unsupervised_rounds=2, walks_per_node=2)
     plain = train(graph, labeled, config)
 

@@ -82,14 +82,9 @@ def summary(result):
     if isinstance(result, graph.Graph):
         return ("graph", result.ids, dict(result.index), result.edges.tolist(),
                 result.edges.shape, result.adj_indptr.tolist(), result.adj_indices.tolist())
-    first, second = result
-    if isinstance(second, graph.LabeledEdgeSet):
-        vocab, rows, owners = first, second, second.edges
-        extra = second.num_edges
-    else:
-        vocab, rows, owners, extra = first.vocab, first, first.nodes, second
-    return ("labels", vocab.labels, dict(vocab.index), owners.tolist(), owners.dtype,
-            rows.targets.tolist(), rows.targets.shape, rows.targets.dtype, extra)
+    label_set, skipped = result if isinstance(result, tuple) else (result, None)
+    return ("labels", label_set.labels, label_set.owners.tolist(), label_set.owners.dtype,
+            label_set.targets.tolist(), label_set.targets.shape, label_set.targets.dtype, skipped)
 
 
 def outcome(parse, make, *args):
@@ -179,8 +174,8 @@ def test_edge_labels_against_an_empty_graph():
         2, "unknown node 'a'")
     assert error_of(lambda: load_edge_labels(["a b"], empty)) == wrong_count(
         1, "src dst labels", 2)
-    vocab, edge_set = load_edge_labels(["# c"], empty)
-    assert len(vocab) == 0 and edge_set.num_labeled == 0 and edge_set.num_edges == 0
+    edge_set = load_edge_labels(["# c"], empty)
+    assert edge_set.num_labels == 0 and edge_set.num_labeled == 0
 
 
 @pytest.mark.parametrize("text, on_missing, error", [

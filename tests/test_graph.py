@@ -15,12 +15,12 @@ from helpers import labeled_sets
 from oracles import has_edge, neighbors, write_edge_list
 
 
-def labeled(edge_set):
-    return labeled_sets(edge_set.edges, edge_set.targets)
+def labeled(label_set):
+    return labeled_sets(label_set.owners, label_set.targets)
 
 
-def unlabeled(edge_set):
-    return set(range(edge_set.num_edges)) - set(edge_set.edges.tolist())
+def unlabeled(g, label_set):
+    return set(range(g.num_edges)) - set(label_set.owners.tolist())
 
 
 def test_basic_load():
@@ -112,20 +112,20 @@ def two_edge_graph():
 
 def test_edge_labels_basic():
     g = two_edge_graph()
-    vocab, labels = load_edge_labels(["a b t1,t2"], g)
-    assert len(vocab) == 2
-    assert vocab.labels == ("t1", "t2")
+    labels = load_edge_labels(["a b t1,t2"], g)
+    assert labels.num_labels == 2
+    assert labels.labels == ("t1", "t2")
     edge_ab = edge_number(g, "a", "b")
     assert labeled(labels) == {edge_ab: frozenset({0, 1})}
-    assert unlabeled(labels) == {edge_number(g, "c", "b")}
+    assert unlabeled(g, labels) == {edge_number(g, "c", "b")}
 
 
 def test_edge_labels_empty_stream():
     g = two_edge_graph()
-    vocab, labels = load_edge_labels([], g)
-    assert len(vocab) == 0
+    labels = load_edge_labels([], g)
+    assert labels.num_labels == 0
     assert labeled(labels) == {}
-    assert unlabeled(labels) == frozenset(range(g.num_edges))
+    assert unlabeled(g, labels) == frozenset(range(g.num_edges))
 
 
 def test_edge_labels_non_edge_rejected():
@@ -142,7 +142,7 @@ def test_edge_labels_unknown_node_rejected():
 
 def test_edge_labels_union_across_lines():
     g = two_edge_graph()
-    _, labels = load_edge_labels(["a b t1", "b a t2", "a b t1"], g)
+    labels = load_edge_labels(["a b t1", "b a t2", "a b t1"], g)
     (label_set,) = labeled(labels).values()
     assert label_set == frozenset({0, 1})
 
@@ -155,23 +155,23 @@ def test_edge_labels_empty_label_rejected():
 
 def test_edge_labels_partition_invariant():
     g = load_edge_list(["a b", "b c", "c d", "d a", "a c"])
-    _, labels = load_edge_labels(["a b x", "c d y,z"], g)
-    assert set(labeled(labels)) | unlabeled(labels) == set(range(g.num_edges))
-    assert set(labeled(labels)) & unlabeled(labels) == set()
-    assert len(labeled(labels)) + len(unlabeled(labels)) == g.num_edges
+    labels = load_edge_labels(["a b x", "c d y,z"], g)
+    assert set(labeled(labels)) | unlabeled(g, labels) == set(range(g.num_edges))
+    assert set(labeled(labels)) & unlabeled(g, labels) == set()
+    assert len(labeled(labels)) + len(unlabeled(g, labels)) == g.num_edges
 
 
 def test_label_sets_are_sorted_multi_hot_arrays():
     g = load_edge_list(["a b", "b c", "c d", "d a", "a c"])
-    _, labels = load_edge_labels(["c d y,z", "a b x", "a c z"], g)
-    assert labels.edges.dtype == np.int64 and labels.targets.dtype == bool
-    assert labels.edges.tolist() == sorted(labels.edges.tolist())
+    labels = load_edge_labels(["c d y,z", "a b x", "a c z"], g)
+    assert labels.owners.dtype == np.int64 and labels.targets.dtype == bool
+    assert labels.owners.tolist() == sorted(labels.owners.tolist())
     assert labels.targets.shape == (3, 3) == (labels.num_labeled, labels.num_labels)
     assert labels.targets.any(axis=1).all()
     node_set, _ = load_node_labels(["d q", "a p,q"], g.index)
-    assert node_set.nodes.tolist() == sorted(node_set.nodes.tolist())
+    assert node_set.owners.tolist() == sorted(node_set.owners.tolist())
     assert node_set.targets.dtype == bool
-    assert node_set.targets.shape == (2, len(node_set.vocab))
+    assert node_set.targets.shape == (2, node_set.num_labels)
 
 
 # split ----------------------------------------------------------------------
@@ -180,8 +180,7 @@ def test_label_sets_are_sorted_multi_hot_arrays():
 def ten_labeled_edges():
     lines = [f"a{i} b{i}" for i in range(10)]
     g = load_edge_list(lines)
-    _, labels = load_edge_labels([f"a{i} b{i} t{i % 3}" for i in range(10)], g)
-    return labels
+    return load_edge_labels([f"a{i} b{i} t{i % 3}" for i in range(10)], g)
 
 
 def test_split_sizes():
@@ -212,7 +211,7 @@ def test_split_is_partition():
     assert set(labeled(train)) | set(labeled(val)) == set(labeled(labels))
     assert set(labeled(train)) & set(labeled(val)) == set()
     for half in (train, val):
-        assert half.num_edges == labels.num_edges
+        assert half.labels == labels.labels
         assert labeled(half).items() <= labeled(labels).items()
 
 
@@ -225,7 +224,7 @@ def test_split_bad_fraction():
 
 def test_split_empty_set_rejected():
     g = load_edge_list(["a b"])
-    _, labels = load_edge_labels([], g)
+    labels = load_edge_labels([], g)
     with pytest.raises(ValidationError):
         split_labeled_edges(labels, 0.5, seed=1)
 
@@ -237,8 +236,8 @@ def test_node_labels_basic():
     g = two_edge_graph()
     label_set, skipped = load_node_labels(["a red", "b red,blue"], g.index)
     assert skipped == []
-    assert label_set.vocab.labels == ("red", "blue")
-    node_sets = labeled_sets(label_set.nodes, label_set.targets)
+    assert label_set.labels == ("red", "blue")
+    node_sets = labeled_sets(label_set.owners, label_set.targets)
     assert node_sets[g.index["a"]] == frozenset({0})
     assert node_sets[g.index["b"]] == frozenset({0, 1})
 
@@ -249,4 +248,4 @@ def test_node_labels_unknown_node_error_and_skip():
         load_node_labels(["zz red"], g.index)
     label_set, skipped = load_node_labels(["zz red", "a red"], g.index, on_missing="skip")
     assert skipped == ["zz"]
-    assert len(label_set) == 1
+    assert label_set.num_labeled == 1

@@ -288,6 +288,45 @@ def test_bad_config_file_is_an_error(synth_dir, tmp_path, capsys, text):
     assert "Traceback" not in err
 
 
+# Sizes no machine can hold. A size check refuses each one before its array
+# is allocated, so these runs allocate nothing large.
+HUGE = "100000000000000000"
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("train", ["--lambda", "0", "--walks-per-node", HUGE]),
+    ("train", ["--lambda", "0", "--dim", HUGE]),
+    ("train", ["--lambda", "0", "--structural-batch", HUGE]),
+    ("train", ["--lambda", "0", "--negatives", HUGE]),
+    ("train", ["--hidden", HUGE]),
+    ("train", ["--relational-batch", HUGE]),
+    ("walk", ["--walks-per-node", HUGE]),
+    ("synth", ["--communities", "100000000000"]),
+], ids=["walks-per-node", "dim", "structural-batch", "negatives", "hidden", "relational-batch",
+        "walk", "synth"])
+def test_unallocatable_value_is_an_error(synth_dir, tmp_path, capsys, command, flags):
+    out = tmp_path / "out"
+    if command == "train":
+        rc = run_train(synth_dir, out, *flags)
+    elif command == "walk":
+        rc = main(["walk", str(synth_dir / "graph.edges"), "--out", str(out), *flags])
+    else:
+        rc = main(["synth", "--out-dir", str(out), *flags])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert err.endswith("needs more memory than this machine has\n")
+
+
+def test_out_of_memory_is_an_error(tmp_path, capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr("edgewalk.cli.generate_planted_partition", exhausted)
+    assert main(["synth", "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: MemoryError\n"
+
+
 # evaluate -----------------------------------------------------------------------
 
 

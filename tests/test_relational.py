@@ -112,11 +112,6 @@ def test_bce_finite_for_extreme_predictions():
     assert math.isfinite(bce_loss([0.0], [1.0]))
 
 
-def test_bce_length_mismatch():
-    with pytest.raises(ValidationError):
-        bce_loss([1.0, 0.0], [0.5])
-
-
 # backward ---------------------------------------------------------------------
 
 
@@ -130,8 +125,8 @@ def test_zero_network_output_bias_gradient():
                     biases=[np.zeros(5), np.zeros(labels)])
     edges = np.array([[0, 1]])
     targets = np.ones((1, labels))
-    result = relational_backward(edges, targets, tables, mlp)
-    np.testing.assert_allclose(result.grads.mlp_bias_grads[-1], -0.5)
+    _, grads = relational_backward(edges, targets, tables, mlp)
+    np.testing.assert_allclose(grads.mlp_bias_grads[-1], -0.5)
 
 
 def test_duplicated_edge_equals_single_edge_gradient():
@@ -141,11 +136,11 @@ def test_duplicated_edge_equals_single_edge_gradient():
     targets1 = np.array([[1.0, 0.0, 1.0]])
     edges2 = np.repeat(edges1, 2, axis=0)
     targets2 = np.repeat(targets1, 2, axis=0)
-    r1 = relational_backward(edges1, targets1, tables, mlp)
-    r2 = relational_backward(edges2, targets2, tables, mlp)
-    assert r1.loss == pytest.approx(r2.loss, rel=1e-14)
-    np.testing.assert_allclose(r1.grads.center_grads, r2.grads.center_grads, atol=1e-15)
-    for a, b in zip(r1.grads.mlp_weight_grads, r2.grads.mlp_weight_grads):
+    loss1, grads1 = relational_backward(edges1, targets1, tables, mlp)
+    loss2, grads2 = relational_backward(edges2, targets2, tables, mlp)
+    assert loss1 == pytest.approx(loss2, rel=1e-14)
+    np.testing.assert_allclose(grads1.center_grads, grads2.center_grads, atol=1e-15)
+    for a, b in zip(grads1.mlp_weight_grads, grads2.mlp_weight_grads):
         np.testing.assert_allclose(a, b, atol=1e-15)
 
 
@@ -153,19 +148,19 @@ def test_endpoint_order_invariance():
     rng = np.random.default_rng(3)
     tables, mlp, _, _ = random_setup(rng)
     targets = np.array([[1.0, 0.0, 0.0]])
-    fwd = relational_backward(np.array([[0, 2]]), targets, tables, mlp)
-    rev = relational_backward(np.array([[2, 0]]), targets, tables, mlp)
-    assert fwd.loss == rev.loss
-    np.testing.assert_array_equal(fwd.grads.center_rows, rev.grads.center_rows)
-    np.testing.assert_array_equal(fwd.grads.center_grads, rev.grads.center_grads)
+    fwd_loss, fwd = relational_backward(np.array([[0, 2]]), targets, tables, mlp)
+    rev_loss, rev = relational_backward(np.array([[2, 0]]), targets, tables, mlp)
+    assert fwd_loss == rev_loss
+    np.testing.assert_array_equal(fwd.center_rows, rev.center_rows)
+    np.testing.assert_array_equal(fwd.center_grads, rev.center_grads)
 
 
 def test_gradient_rows_confined_to_endpoints_and_no_context():
     rng = np.random.default_rng(4)
     tables, mlp, edges, targets = random_setup(rng, batch=3)
-    result = relational_backward(edges, targets, tables, mlp)
-    assert set(result.grads.center_rows.tolist()) <= set(edges.ravel().tolist())
-    assert result.grads.context_rows is None
+    _, grads = relational_backward(edges, targets, tables, mlp)
+    assert set(grads.center_rows.tolist()) <= set(edges.ravel().tolist())
+    assert grads.context_rows is None
 
 
 def test_empty_batch_rejected():
@@ -192,14 +187,13 @@ def test_gradients_match_finite_differences():
         if np.abs(hidden_preactivations(edges, tables, mlp)).min() < 1e-3:
             continue
         checked += 1
-        result = relational_backward(edges, targets, tables, mlp)
-        dense_center = scatter_rows(result.grads.center_rows, result.grads.center_grads,
-                                    tables.center.shape)
+        _, grads = relational_backward(edges, targets, tables, mlp)
+        dense_center = scatter_rows(grads.center_rows, grads.center_grads, tables.center.shape)
         arrays = [tables.center] + mlp.weights + mlp.biases
         fd = finite_difference(lambda: relational_loss(edges, targets, tables, mlp),
                                arrays)
         assert relative_error(dense_center, fd[0]) <= 1e-6
-        analytic = result.grads.mlp_weight_grads + result.grads.mlp_bias_grads
+        analytic = grads.mlp_weight_grads + grads.mlp_bias_grads
         for a, f in zip(analytic, fd[1:]):
             assert relative_error(a, f) <= 1e-6
 
@@ -225,8 +219,8 @@ def test_overfit_ten_disjoint_edges():
     targets = np.eye(10)
     opt = AdamOptimizer(tables, mlp=mlp, lr=0.01)
     for _ in range(2000):
-        result = relational_backward(edges, targets, tables, mlp)
-        opt.step(result.grads)
+        _, grads = relational_backward(edges, targets, tables, mlp)
+        opt.step(grads)
     x, _ = compose_batch(edges, tables)
     y_hat, _ = mlp_forward(x, mlp)
     accuracy = ((y_hat > 0.5) == targets.astype(bool)).mean()
@@ -245,8 +239,8 @@ def test_saturated_float32_output_keeps_loss_finite():
     x, _ = compose_batch(edges, tables)
     assert (mlp_forward(x, mlp)[0] == 1.0).all()
     loss = relational_loss(edges, targets, tables, mlp)
-    result = relational_backward(edges, targets, tables, mlp)
-    assert math.isfinite(loss) and math.isfinite(result.loss)
-    assert result.loss == loss
+    backward_loss, _ = relational_backward(edges, targets, tables, mlp)
+    assert math.isfinite(loss) and math.isfinite(backward_loss)
+    assert backward_loss == loss
     # Three zero targets at -log(2**-24) each, over two edges; the 1 target costs ~0.
     assert loss == pytest.approx(1.5 * 24 * math.log(2), rel=1e-6)

@@ -10,18 +10,18 @@ from oracles import neighbors
 
 def test_shape_and_vocabularies():
     ds = generate_planted_partition(4, 50, 0.2, 0.01, label_fraction=0.1, seed=0)
-    graph, vocab, labeled, node_labels = load_synth(ds)
+    graph, labeled, node_labels = load_synth(ds)
     assert graph.num_nodes == 200
-    assert len(node_labels.vocab) == 4
-    assert len(vocab) == 5  # four community relations plus the bridge label
+    assert node_labels.num_labels == 4
+    assert labeled.num_labels == 5  # four community relations plus the bridge label
     assert labeled.num_labeled == int(np.ceil(0.1 * graph.num_edges))
 
 
 def test_full_label_fraction_labels_everything():
     ds = generate_planted_partition(3, 10, 0.5, 0.05, label_fraction=1.0, seed=1)
-    graph, _, labeled, _ = load_synth(ds)
+    graph, labeled, _ = load_synth(ds)
     assert labeled.num_labeled == graph.num_edges
-    assert labeled.edges.tolist() == list(range(graph.num_edges))  # none unlabeled
+    assert labeled.owners.tolist() == list(range(graph.num_edges))  # none unlabeled
 
 
 def test_deterministic_files():
@@ -35,7 +35,7 @@ def test_deterministic_files():
 def test_connected_output():
     for seed in range(5):
         ds = generate_planted_partition(4, 10, 0.4, 0.02, 0.3, seed=seed)
-        graph, _, _, _ = load_synth(ds)
+        graph, _, _ = load_synth(ds)
         assert (graph.degrees >= 1).all()
         seen = {0}
         frontier = [0]

@@ -166,7 +166,7 @@ def test_early_stop_counter_resets_on_new_best():
 
 
 def test_train_deterministic_bitwise():
-    graph, _, labeled, _ = toy_community_inputs(seed=1)
+    graph, labeled, _ = toy_community_inputs(seed=1)
     cfg = small_config(max_rounds=4)
     a = train(graph, labeled, cfg)
     b = train(graph, labeled, cfg)
@@ -179,14 +179,14 @@ def test_train_deterministic_bitwise():
 
 
 def test_train_seed_changes_output():
-    graph, _, labeled, _ = toy_community_inputs(seed=1)
+    graph, labeled, _ = toy_community_inputs(seed=1)
     a = train(graph, labeled, small_config(max_rounds=2))
     b = train(graph, labeled, small_config(max_rounds=2, seed=8))
     assert not np.array_equal(a.tables.center, b.tables.center)
 
 
 def test_round_structure_advances_adam_t():
-    graph, _, labeled, _ = toy_community_inputs(seed=2)
+    graph, labeled, _ = toy_community_inputs(seed=2)
     cfg = small_config(max_rounds=3, early_stop_window=50)
     result = train(graph, labeled, cfg)
     n_s, n_r = schedule_counts(cfg.batches_per_round, cfg.lambda_)
@@ -195,7 +195,7 @@ def test_round_structure_advances_adam_t():
 
 
 def test_lambda_zero_never_touches_relational_code(monkeypatch):
-    graph, _, labeled, _ = toy_community_inputs(seed=3)
+    graph, labeled, _ = toy_community_inputs(seed=3)
     cfg = small_config(lambda_=0.0, unsupervised_rounds=2)
     plain = train(graph, labeled, cfg)
 
@@ -213,7 +213,7 @@ def test_lambda_zero_never_touches_relational_code(monkeypatch):
 
 
 def test_lambda_zero_budget_and_report_shape():
-    graph, _, labeled, _ = toy_community_inputs(seed=3)
+    graph, labeled, _ = toy_community_inputs(seed=3)
     cfg = small_config(lambda_=0.0, unsupervised_rounds=2, structural_batch=64)
     result = train(graph, labeled, cfg)
     assert result.report.stop_reason == "max_rounds"
@@ -230,13 +230,13 @@ def test_lambda_zero_budget_and_report_shape():
 
 
 def test_lambda_positive_requires_labels():
-    graph, _, _, _ = toy_community_inputs(seed=4)
+    graph, _, _ = toy_community_inputs(seed=4)
     with pytest.raises(ConfigError):
         train(graph, None, small_config())
 
 
 def test_lambda_one_runs_without_structural_steps():
-    graph, _, labeled, _ = toy_community_inputs(seed=4)
+    graph, labeled, _ = toy_community_inputs(seed=4)
     cfg = small_config(lambda_=1.0, max_rounds=3, early_stop_window=50)
     result = train(graph, labeled, cfg)
     assert result.optimizer.t == 3 * cfg.batches_per_round
@@ -246,7 +246,7 @@ def test_lambda_one_runs_without_structural_steps():
 
 
 def test_validation_loss_improves_on_learnable_toy():
-    graph, _, labeled, _ = toy_community_inputs(seed=5)
+    graph, labeled, _ = toy_community_inputs(seed=5)
     cfg = small_config(max_rounds=40)
     result = train(graph, labeled, cfg)
     rounds = result.report.rounds
@@ -255,7 +255,7 @@ def test_validation_loss_improves_on_learnable_toy():
 
 
 def test_early_stop_eventually_fires():
-    graph, _, labeled, _ = toy_community_inputs(seed=6)
+    graph, labeled, _ = toy_community_inputs(seed=6)
     cfg = small_config(max_rounds=200, early_stop_window=3)
     result = train(graph, labeled, cfg)
     assert result.report.stop_reason == "early_stop"
@@ -263,7 +263,7 @@ def test_early_stop_eventually_fires():
 
 
 def test_empty_validation_falls_back_to_train_loss():
-    graph, _, labeled, _ = toy_community_inputs(seed=7)
+    graph, labeled, _ = toy_community_inputs(seed=7)
     cfg = small_config(validation_fraction=0.0, max_rounds=3, early_stop_window=50)
     result = train(graph, labeled, cfg)
     for stats in result.report.rounds:
@@ -271,7 +271,7 @@ def test_empty_validation_falls_back_to_train_loss():
 
 
 def test_report_file_shape():
-    graph, _, labeled, _ = toy_community_inputs(seed=8)
+    graph, labeled, _ = toy_community_inputs(seed=8)
     result = train(graph, labeled, small_config(max_rounds=2, early_stop_window=50))
     buf = io.StringIO()
     result.report.write(buf)
@@ -284,7 +284,7 @@ def test_report_file_shape():
 
 
 def test_float32_option():
-    graph, _, labeled, _ = toy_community_inputs(seed=9)
+    graph, labeled, _ = toy_community_inputs(seed=9)
     cfg = small_config(max_rounds=2, dtype="float32")
     result = train(graph, labeled, cfg)
     assert result.tables.center.dtype == np.float32
@@ -294,7 +294,7 @@ def test_float32_option():
 def test_divergence_raises_with_partial_report():
     from edgewalk.errors import NumericsError
 
-    graph, _, labeled, _ = toy_community_inputs(seed=2)
+    graph, labeled, _ = toy_community_inputs(seed=2)
     cfg = small_config(lr=1e200, max_rounds=4)
     with pytest.raises(NumericsError) as excinfo:
         train(graph, labeled, cfg)
@@ -319,7 +319,7 @@ def test_corpus_regeneration_changes_result():
 def test_step_matches_reference_formulas_bytes(tmp_path, monkeypatch, lambda_, dtype):
     # A run through the plain reference row sums and Adam row update must
     # give the same checkpoint bytes as the vectorized ones.
-    graph, _, labeled, _ = toy_community_inputs(seed=4)
+    graph, labeled, _ = toy_community_inputs(seed=4)
     config = small_config(lambda_=lambda_, dtype=dtype, max_rounds=4)
 
     def checkpoint(name):

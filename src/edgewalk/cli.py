@@ -51,7 +51,11 @@ def _sha256(path: Path) -> str:
 def _replacing(path: Path):
     """Yield a temporary path beside ``path`` that replaces ``path`` once the
     block ends without an exception; otherwise the temporary file is removed
-    and ``path`` is left as it was."""
+    and ``path`` is left as it was. A symlink, FIFO or device at ``path`` is
+    yielded itself and written through, since a rename would replace it."""
+    if path.is_symlink() or (path.exists() and not path.is_file()):
+        yield path
+        return
     partial = path.with_name(path.name + ".tmp")
     try:
         yield partial
@@ -122,6 +126,8 @@ def _add_train_flags(parser: argparse.ArgumentParser) -> None:
 
 def cmd_train(args: argparse.Namespace) -> int:
     config = _collect_train_config(args)
+    if args.walk_cache:
+        config.regenerate_walks = False  # a cache holds the one corpus the run reuses
     if config.lambda_ > 0 and not args.edge_labels:
         raise ConfigError("lambda > 0 needs an edge-label file")
     out_dir = Path(args.out_dir)
@@ -253,7 +259,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for name in skipped:
         log.warning("node %r has labels but is not in the graph; excluded", name)
 
-    _write_manifest(out_dir / "sweep_manifest.json", "sweep",
+    stem = f"sweep_{args.parameter.replace('-', '_')}"
+    _write_manifest(out_dir / f"{stem}_manifest.json", "sweep",
                     base.to_dict() | {"sweep_parameter": args.parameter,
                                       "sweep_values": list(args.values),
                                       "eval_ratio": args.eval_ratio,
@@ -282,8 +289,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         log.info("%s=%s -> macro_f1 %.4f (+/- %.4f)", args.parameter, value,
                  report.means[0], report.stds[0])
 
-    out_path = out_dir / f"sweep_{args.parameter.replace('-', '_')}.tsv"
-    with _replacing(out_path) as partial, open(partial, "w") as fh:
+    with _replacing(out_dir / f"{stem}.tsv") as partial, open(partial, "w") as fh:
         fh.write(f"{args.parameter}\tmacro_f1_mean\tmacro_f1_std\n")
         for value, mean, std in series:
             fh.write(f"{value:.17g}\t{mean:.17g}\t{std:.17g}\n")

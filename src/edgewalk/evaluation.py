@@ -17,8 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import expit
+import scipy
 
 from .errors import ConfigError, ValidationError
 
@@ -26,6 +25,10 @@ log = logging.getLogger(__name__)
 
 SOLVER_GRAD_TOL = 1e-6
 SOLVER_MAX_ITER = 1000
+
+
+def minimize(*args, **kwargs):  # a name tracing can wrap; loads scipy.optimize on first fit
+    return scipy.optimize.minimize(*args, **kwargs)
 
 
 @dataclass
@@ -72,7 +75,7 @@ def _logreg_objective(theta, x, sign, l2):
     w, b = theta[:-1], theta[-1]
     z = sign * (x @ w + b)
     value = np.logaddexp(0.0, -z).sum() + 0.5 * l2 * (w @ w)
-    coef = -sign * expit(-z)
+    coef = -sign * scipy.special.expit(-z)
     grad = np.empty_like(theta)
     grad[:-1] = x.T @ coef + l2 * w
     grad[-1] = coef.sum()

@@ -15,7 +15,7 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
+import scipy
 
 from .errors import ConfigError, NumericsError, ParseError, ValidationError, check_allocatable
 
@@ -78,8 +78,8 @@ def accumulate_rows(rows: np.ndarray, grads: np.ndarray, weights: np.ndarray | N
     first = np.flatnonzero(np.diff(ordered, prepend=ordered[:1] - 1))  # each run's start
     # One matrix row per distinct row index, holding its contributions in
     # order; the product adds them into zeros in that order.
-    pick = csr_matrix((weights[order], sources[order], np.append(first, len(rows))),
-                      shape=(len(first), len(grads)))
+    pick = scipy.sparse.csr_matrix((weights[order], sources[order], np.append(first, len(rows))),
+                                   shape=(len(first), len(grads)))
     return ordered[first], pick @ grads
 
 

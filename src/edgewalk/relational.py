@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
+import scipy
 
 from .errors import NumericsError, ValidationError, check_allocatable
 from .params import EmbeddingTables, SparseGrad, accumulate_rows
@@ -64,7 +64,7 @@ def mlp_forward(x: np.ndarray, params: MlpParams) -> tuple[np.ndarray, list[np.n
         z = h @ w.T + b
         if not np.isfinite(z).all():
             raise NumericsError(f"non-finite activation at classifier layer {k}")
-        h = expit(z) if k == depth - 1 else np.maximum(z, 0.0)
+        h = scipy.special.expit(z) if k == depth - 1 else np.maximum(z, 0.0)
         cache.append(h)
     y_hat = cache[-1]
     return (y_hat[0] if single else y_hat), cache

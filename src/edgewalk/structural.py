@@ -16,7 +16,7 @@ with scipy's expit, so no score magnitude can produce an infinity.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
+import scipy
 
 from .errors import ConfigError, ValidationError
 from .params import EmbeddingTables, SparseGrad, accumulate_rows
@@ -77,8 +77,8 @@ def loss_and_grads(
     neg_scores = np.einsum("nd,nkd->nk", c, q_neg)
     loss = (np.logaddexp(0.0, -pos_scores).sum() + np.logaddexp(0.0, neg_scores).sum()) / n
 
-    d_pos = (expit(pos_scores) - 1.0) / n     # (N,)
-    d_neg = expit(neg_scores) / n             # (N, K)
+    d_pos = (scipy.special.expit(pos_scores) - 1.0) / n     # (N,)
+    d_neg = scipy.special.expit(neg_scores) / n             # (N, K)
 
     g_center = d_pos[:, None] * q_pos + np.einsum("nk,nkd->nd", d_neg, q_neg)
     center_rows, center_grads = accumulate_rows(centers, g_center)

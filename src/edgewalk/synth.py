@@ -14,8 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
+import scipy
 
 from .errors import ConfigError, ValidationError, check_allocatable
 
@@ -35,9 +34,9 @@ class SynthDataset:
 def _connected(num_nodes: int, edges: np.ndarray) -> bool:
     if num_nodes == 0:
         return False
-    adj = coo_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])),
-                     shape=(num_nodes, num_nodes))
-    return connected_components(adj, directed=False, return_labels=False) == 1
+    adj = scipy.sparse.coo_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])),
+                                  shape=(num_nodes, num_nodes))
+    return scipy.sparse.csgraph.connected_components(adj, directed=False, return_labels=False) == 1
 
 
 def generate_planted_partition(communities: int, community_size: int, p_in: float,

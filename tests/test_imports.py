@@ -1,0 +1,71 @@
+"""Each command loads only the scipy submodules it calls into.
+
+The package binds plain ``import scipy`` and names each function at its call
+site, so scipy loads ``special``, ``sparse`` and ``optimize`` on first use.
+Each case runs in a fresh interpreter, because this test process has long
+since loaded all of them.
+"""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from edgewalk.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+DEFERRED = ("scipy.special", "scipy.sparse", "scipy.optimize")
+
+PROBE = f"""
+import sys
+import edgewalk, edgewalk.cli
+if sys.argv[1:]:
+    assert edgewalk.cli.main(sys.argv[1:]) == 0
+print(" ".join(m for m in {DEFERRED!r} if m in sys.modules))
+"""
+
+
+@pytest.fixture(scope="module")
+def data(tmp_path_factory):
+    out = tmp_path_factory.mktemp("imports")
+    assert main(["synth", "--communities", "2", "--community-size", "6", "--p-in", "0.6",
+                 "--label-fraction", "0.5", "--seed", "2", "--out-dir", str(out / "g")]) == 0
+    return out
+
+
+def loaded_after(argv, cwd):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", PROBE, *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+@pytest.mark.parametrize("argv, not_loaded", [
+    ([], DEFERRED),
+    (["walk", "g/graph.edges", "--walks-per-node", "1", "--walk-length", "3",
+      "--out", "walks.txt"], DEFERRED),
+    (["synth", "--communities", "2", "--community-size", "6", "--p-in", "0.6", "--out-dir", "s"],
+     ("scipy.special", "scipy.optimize")),
+    (["train", "g/graph.edges", "g/graph.edge_labels", "--lambda", "0.8", "--dim", "4",
+      "--hidden", "4", "--walks-per-node", "1", "--walk-length", "3", "--window", "1",
+      "--structural-batch", "8", "--relational-batch", "8", "--batches-per-round", "2",
+      "--max-rounds", "1", "--validation-fraction", "0", "--out-dir", "t"],
+     ("scipy.optimize",)),
+], ids=["import", "walk", "synth", "train"])
+def test_command_loads_only_the_scipy_it_uses(data, argv, not_loaded):
+    assert not loaded_after(argv, data) & set(not_loaded)
+
+
+def test_no_module_level_scipy_submodule_import():
+    for path in sorted((SRC / "edgewalk").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ImportFrom):
+                assert not (node.module or "").startswith("scipy"), f"{path.name}:{node.lineno}"
+            elif isinstance(node, ast.Import):
+                assert all(a.name == "scipy" or not a.name.startswith("scipy.")
+                           for a in node.names), f"{path.name}:{node.lineno}"

@@ -1,7 +1,10 @@
 import io
 import json
+import os
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -224,6 +227,20 @@ def test_walk_cache_written_and_reused(synth_dir, tmp_path):
     # Second run consumes the cache and reproduces the embeddings.
     assert run_train(synth_dir, dir_b, "--walk-cache", str(cache)) == 0
     assert (dir_a / "embeddings.vec").read_bytes() == (dir_b / "embeddings.vec").read_bytes()
+
+
+def test_walk_cache_run_replays_from_its_manifest(synth_dir, tmp_path):
+    # A cache pins one corpus for the whole run, so the manifest records
+    # regenerate_walks false and a replay without the cache draws that corpus.
+    run, replay = tmp_path / "run", tmp_path / "replay"
+    assert run_train(synth_dir, run, "--walk-cache", str(tmp_path / "walks.txt"),
+                     "--lambda", "0", "--unsupervised-rounds", "3") == 0
+    manifest = json.loads((run / "manifest.json").read_text())
+    assert manifest["config"]["regenerate_walks"] is False
+    assert main(["train", str(synth_dir / "graph.edges"), str(synth_dir / "graph.edge_labels"),
+                 "--config", str(run / "manifest.json"), "--out-dir", str(replay)]) == 0
+    for name in ("embeddings.vec", "checkpoint.bin"):
+        assert (run / name).read_bytes() == (replay / name).read_bytes()
 
 
 @pytest.mark.parametrize("flag", ["--walk-length", "--walks-per-node"])
@@ -453,6 +470,20 @@ def test_sweep_dim_series(synth_dir, tmp_path):
     assert [line.split("\t")[0] for line in lines[1:]] == ["4", "8"]
 
 
+def test_two_sweeps_into_one_dir_keep_both_manifests(synth_dir, tmp_path):
+    for parameter, values in (("lambda", ["0", "0.8"]), ("label-fraction", ["0.5"])):
+        assert main(["sweep", parameter,
+                     str(synth_dir / "graph.edges"), str(synth_dir / "graph.edge_labels"),
+                     str(synth_dir / "graph.node_labels"),
+                     "--values", *values, "--eval-ratio", "0.3", "--eval-repeats", "1",
+                     "--out-dir", str(tmp_path), *TINY_TRAIN_FLAGS]) == 0
+    for parameter in ("lambda", "label-fraction"):
+        stem = "sweep_" + parameter.replace("-", "_")
+        manifest = json.loads((tmp_path / f"{stem}_manifest.json").read_text())
+        assert manifest["config"]["sweep_parameter"] == parameter
+        assert (tmp_path / f"{stem}.tsv").exists()
+
+
 def test_sweep_unknown_parameter(synth_dir, tmp_path, capsys):
     rc = main(["sweep", "momentum",
                str(synth_dir / "graph.edges"), str(synth_dir / "graph.edge_labels"),
@@ -476,6 +507,38 @@ def test_walk_command(synth_dir, tmp_path):
     for walk in corpus.walks:
         for u, v in zip(walk, walk[1:]):
             assert has_edge(graph, u, v)
+
+
+WALK_TINY = ["--walks-per-node", "1", "--walk-length", "3", "--seed", "4"]
+
+
+def test_walk_out_to_fifo_is_written_through(synth_dir, tmp_path):
+    fifo = tmp_path / "walks.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    rc = main(["walk", str(synth_dir / "graph.edges"), *WALK_TINY, "--out", str(fifo)])
+    reader.join(timeout=10)
+    assert rc == 0
+    assert not reader.is_alive()
+    assert stat.S_ISFIFO(fifo.lstat().st_mode)
+    assert received[0].startswith(b"# walks_per_node=1")
+
+
+@pytest.mark.parametrize("target", ["/dev/null", "regular file"])
+def test_walk_out_through_symlink_keeps_the_link(synth_dir, tmp_path, target):
+    dest = Path(target) if target.startswith("/") else tmp_path / "walks.txt"
+    if not dest.exists():
+        dest.write_text("old\n")
+    link = tmp_path / "link"
+    link.symlink_to(dest)
+    rc = main(["walk", str(synth_dir / "graph.edges"), *WALK_TINY, "--out", str(link)])
+    assert rc == 0
+    assert link.is_symlink() and os.readlink(link) == str(dest)
+    assert not list(tmp_path.glob("*.tmp"))
+    if dest.is_file():
+        assert dest.read_text().startswith("# walks_per_node=1")
 
 
 # entry point --------------------------------------------------------------------

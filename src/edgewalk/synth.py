@@ -14,11 +14,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .errors import ConfigError, ValidationError, check_allocatable
 
 MAX_ATTEMPTS = 20  # connectivity retries before giving up
+BLOCK_PAIRS = 2**18  # node pairs drawn at once; bounds the generator's memory
 
 
 @dataclass(frozen=True)
@@ -32,11 +32,28 @@ class SynthDataset:
 
 
 def _connected(num_nodes: int, edges: np.ndarray) -> bool:
-    if num_nodes == 0:
-        return False
-    adj = scipy.sparse.coo_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])),
-                                  shape=(num_nodes, num_nodes))
-    return scipy.sparse.csgraph.connected_components(adj, directed=False, return_labels=False) == 1
+    """Min-label hooking: each edge hooks the larger root of its ends to the smaller,
+    then pointers jump to roots, until no edge joins two roots; one root means connected."""
+    root = np.arange(num_nodes)
+    u, v = edges[:, 0], edges[:, 1]
+    while not np.array_equal(ru := root[u], rv := root[v]):
+        np.minimum.at(root, ru, rv)
+        np.minimum.at(root, rv, ru)
+        while not np.array_equal(root, jumped := root[root]):
+            root = jumped
+    return num_nodes > 0 and not root.any()
+
+
+def _pair_blocks(n: int):
+    """``np.triu_indices(n, k=1)`` in order, as ``(u, v)`` blocks of at most BLOCK_PAIRS pairs."""
+    rows = np.arange(n + 1)
+    bounds = rows * (2 * n - rows - 1) // 2  # row u holds pairs bounds[u]:bounds[u + 1]
+    for start in range(0, bounds[n], BLOCK_PAIRS):
+        stop = min(start + BLOCK_PAIRS, bounds[n])
+        block = rows[np.searchsorted(bounds, start, "right") - 1:np.searchsorted(bounds, stop)]
+        counts = np.minimum(bounds[block + 1], stop) - np.maximum(bounds[block], start)
+        yield (np.repeat(block, counts),
+               np.arange(start, stop) - np.repeat(bounds[block] - block - 1, counts))
 
 
 def generate_planted_partition(communities: int, community_size: int, p_in: float,
@@ -51,16 +68,18 @@ def generate_planted_partition(communities: int, community_size: int, p_in: floa
         raise ConfigError(f"label_fraction must be in (0, 1], got {label_fraction}")
 
     n = communities * community_size
-    check_allocatable("node-pair table", n * (n - 1) // 2)
+    # About 24 8-byte items per node (arrays and name strings), 6 per pair of a block.
+    check_allocatable("node arrays and a block of node pairs", 24 * n + 6 * BLOCK_PAIRS)
     membership = np.repeat(np.arange(communities), community_size)
-    iu, ju = np.triu_indices(n, k=1)
-    same = membership[iu] == membership[ju]
-    p = np.where(same, p_in, p_out)
 
     for attempt in range(MAX_ATTEMPTS):
         rng = np.random.default_rng(np.random.SeedSequence([seed, attempt]))
-        keep = rng.random(len(iu)) < p
-        edges = np.column_stack([iu[keep], ju[keep]])
+        # Float64 draws are the same stream in blocks as in one call.
+        kept = []
+        for u, v in _pair_blocks(n):
+            keep = rng.random(len(u)) < np.where(membership[u] == membership[v], p_in, p_out)
+            kept.append(np.column_stack([u[keep], v[keep]]))
+        edges = np.concatenate(kept)
         if not _connected(n, edges):
             continue
         edge_labels = tuple(

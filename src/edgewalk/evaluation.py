@@ -131,8 +131,12 @@ def predict_top_k(classifier: OvrClassifier, features: np.ndarray,
                   k_per_node: np.ndarray) -> np.ndarray:
     """Bool (N, L) matrix of each node's k top-scoring labels; ties to the lower index."""
     scores = classifier.scores(np.asarray(features, dtype=np.float64))
-    ranks = np.argsort(-scores, axis=1, kind="stable").argsort(axis=1)
-    return ranks < np.asarray(k_per_node).reshape(-1, 1)
+    order = np.argsort(-scores, axis=1, kind="stable")
+    # The label at sorted position j of a row is kept when j < k.
+    pred = np.empty(scores.shape, dtype=bool)
+    np.put_along_axis(pred, order, np.arange(scores.shape[1]) < np.reshape(k_per_node, (-1, 1)),
+                      axis=1)
+    return pred
 
 
 def macro_f1(truth: np.ndarray, pred: np.ndarray) -> float:

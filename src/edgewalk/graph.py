@@ -167,6 +167,10 @@ def load_edge_list(lines: Iterable[str]) -> Graph:
     """
     fields, line_no, bad = _data_fields(lines, "src dst")
     index, ends = _intern(fields)
+    # The graph keeps fresh copies of its ids, not the first-seen tokens of
+    # the split: those are spread over every arena of the parse, and holding
+    # them would keep all those arenas once the other tokens are freed.
+    index = dict(zip(" ".join(index).split(" "), index.values()))
     u, v = ends[0::2], ends[1::2]
     _raise_first(line_no, bad, (_first(u == v), lambda r: f"self-loop on node {fields[2 * r]!r}"))
     lo, hi = np.minimum(u, v), np.maximum(u, v)

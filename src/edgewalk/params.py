@@ -19,6 +19,11 @@ import scipy
 
 from .errors import ConfigError, NumericsError, ParseError, ValidationError, check_allocatable
 
+# Bytes of one row buffer of the Adam step. Each optimizer makes its buffers
+# once and reuses them on every step, so a step allocates no row-sized
+# temporaries, and a block of this size stays in cache.
+BLOCK_BYTES = 64 * 1024
+
 
 @dataclass
 class EmbeddingTables:
@@ -39,7 +44,7 @@ def init_embeddings(node_count: int, dim: int, seed: int, dtype=np.float64) -> E
     check_allocatable("embedding table", node_count, dim)
     rng = np.random.default_rng(seed)
     bound = 0.5 / dim
-    center = rng.uniform(-bound, bound, size=(node_count, dim)).astype(dtype)
+    center = rng.uniform(-bound, bound, size=(node_count, dim)).astype(dtype, copy=False)
     context = np.zeros((node_count, dim), dtype=dtype)
     return EmbeddingTables(center=center, context=context)
 
@@ -100,29 +105,48 @@ class AdamOptimizer:
         if mlp is not None:
             self._m_mlp = [np.zeros_like(a) for a in mlp.weights + mlp.biases]
             self._v_mlp = [np.zeros_like(a) for a in mlp.weights + mlp.biases]
+        self._buffers: dict[tuple, list[np.ndarray]] = {}
 
     def _update_rows(self, param, m, v, rows, grads, bc1, bc2, block):
         if not np.isfinite(grads).all():
             raise NumericsError(f"non-finite gradient in parameter block {block!r}")
-        # One gather and one scatter per array. The moment sums run in the
-        # gradient's dtype and round into the table's; the step is taken in
-        # the table's dtype from the rounded moments.
-        m_rows, v_rows, p_rows = m[rows], v[rows], param[rows]
-        scaled = np.multiply(grads, 1.0 - self.beta1)
-        m_rows *= self.beta1
-        np.add(m_rows, scaled, out=m_rows)
-        np.multiply(grads, 1.0 - self.beta2, out=scaled)
-        scaled *= grads
-        v_rows *= self.beta2
-        np.add(v_rows, scaled, out=v_rows)
-        step = np.divide(m_rows, bc1)
-        step *= self.lr
-        denom = np.divide(v_rows, bc2)
-        np.sqrt(denom, out=denom)
-        denom += self.eps
-        step /= denom
-        p_rows -= step
-        m[rows], v[rows], param[rows] = m_rows, v_rows, p_rows
+        # The rows go through in blocks, each through buffers made on the
+        # first step: one gather and one scatter per array and block. The
+        # moment sums run in the gradient's dtype (``scaled``) and round into
+        # the table's; the step is taken in the table's dtype from the
+        # rounded moments.
+        key = (param.dtype, grads.dtype, param.shape[1])
+        if key not in self._buffers:
+            scaled = np.result_type(grads.dtype, 1.0)
+            width = param.shape[1] * max(param.dtype.itemsize, scaled.itemsize)
+            shape = (max(1, BLOCK_BYTES // width), param.shape[1])
+            self._buffers[key] = [np.empty(shape, param.dtype) for _ in range(5)] + \
+                                 [np.empty(shape, scaled)]
+        buffers = self._buffers[key]
+        size = len(buffers[0])
+        for start in range(0, len(rows), size):
+            at, g = rows[start:start + size], grads[start:start + size]
+            m_rows, v_rows, p_rows, step, denom, scaled = (b[:len(at)] for b in buffers)
+            # "wrap" reads what m[at] reads for rows in range; with ``out``,
+            # the default mode would gather into a copy first.
+            np.take(m, at, axis=0, out=m_rows, mode="wrap")
+            np.take(v, at, axis=0, out=v_rows, mode="wrap")
+            np.take(param, at, axis=0, out=p_rows, mode="wrap")
+            np.multiply(g, 1.0 - self.beta1, out=scaled)
+            m_rows *= self.beta1
+            np.add(m_rows, scaled, out=m_rows)
+            np.multiply(g, 1.0 - self.beta2, out=scaled)
+            scaled *= g
+            v_rows *= self.beta2
+            np.add(v_rows, scaled, out=v_rows)
+            np.divide(m_rows, bc1, out=step)
+            step *= self.lr
+            np.divide(v_rows, bc2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            step /= denom
+            p_rows -= step
+            m[at], v[at], param[at] = m_rows, v_rows, p_rows
 
     def _update_dense(self, param, m, v, grad, bc1, bc2, block):
         if not np.isfinite(grad).all():

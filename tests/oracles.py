@@ -171,6 +171,13 @@ def top_k_reference(scores, k_per_node):
     return picks
 
 
+def top_k_by_ranks(scores, k_per_node):
+    """Bool top-k matrix from each label's rank, the rank found by argsorting
+    the stable descending order; ties go to the lower index."""
+    ranks = np.argsort(-scores, axis=1, kind="stable").argsort(axis=1)
+    return ranks < np.asarray(k_per_node).reshape(-1, 1)
+
+
 def accumulate_rows_reference(rows, grads, weights=None, sources=None):
     """Duplicate-row sums by ``np.unique`` and ``np.add.at`` into zeros.
 

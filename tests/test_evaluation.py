@@ -20,7 +20,7 @@ from edgewalk.evaluation import (
 )
 
 from helpers import label_sets, multi_hot
-from oracles import macro_f1_brute_force, top_k_reference
+from oracles import macro_f1_brute_force, top_k_by_ranks, top_k_reference
 
 
 def f1_of_sets(truth, preds):
@@ -134,6 +134,23 @@ def test_top_k_matches_sorted_reference():
         k = rng.integers(0, num_labels + 1, size=n)
         clf, x = scores_classifier(scores)
         assert label_sets(predict_top_k(clf, x, k)) == top_k_reference(scores, k)
+
+
+def test_top_k_matches_rank_form_with_ties_and_untrained_labels():
+    rng = np.random.default_rng(12)
+    for num_labels in range(1, 9):
+        scores = rng.integers(0, 3, size=(60, num_labels)).astype(float)  # many ties
+        clf, x = scores_classifier(scores)
+        clf.trained[1::3] = False  # these score -inf, tied among themselves from 5 labels
+        want_scores = clf.scores(x)
+        for k in range(1, num_labels + 1):
+            k_per_node = np.full(60, k)
+            got = predict_top_k(clf, x, k_per_node)
+            assert got.dtype == bool
+            assert np.array_equal(got, top_k_by_ranks(want_scores, k_per_node))
+        k_per_node = rng.integers(1, num_labels + 1, size=60)
+        assert np.array_equal(predict_top_k(clf, x, k_per_node),
+                              top_k_by_ranks(want_scores, k_per_node))
 
 
 # macro F1 ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from edgewalk import params
 from edgewalk.errors import NumericsError, ParseError, ValidationError
 from edgewalk.params import (
     AdamOptimizer,
@@ -200,13 +201,18 @@ def test_weighted_accumulate_rows_matches_reference_bytes(case, dtype):
                       accumulate_rows_reference(rows, table, weights=weights, sources=sources))
 
 
-@pytest.mark.parametrize("table_dtype, grad_dtype", [(np.float64, np.float64),
-                                                     (np.float32, np.float32),
-                                                     (np.float32, np.float64)])
-@pytest.mark.parametrize("case", ["many", "single", "empty"])
-def test_update_rows_matches_reference_bytes(case, table_dtype, grad_dtype):
-    # float64 gradients into float32 tables are what the relational loss
-    # hands a float32 run.
+def block_bytes(rows, table_dtype, grad_dtype, width):
+    """The ``BLOCK_BYTES`` that gives the Adam step blocks of ``rows`` rows."""
+    return rows * width * max(np.dtype(table_dtype).itemsize, np.dtype(grad_dtype).itemsize)
+
+
+DTYPE_PAIRS = [(np.float64, np.float64), (np.float32, np.float32), (np.float32, np.float64)]
+
+
+def check_update_rows_bytes(case, table_dtype, grad_dtype, block_rows):
+    """Eight row updates against the reference formulas, byte for byte; odd
+    steps carry signed-zero gradients. The step works in blocks of
+    ``block_rows`` rows."""
     rng = np.random.default_rng(5)
     tables = [EmbeddingTables(center=rng.normal(size=(30, 6)).astype(table_dtype),
                               context=np.zeros((30, 6), dtype=table_dtype))]
@@ -217,6 +223,8 @@ def test_update_rows_matches_reference_bytes(case, table_dtype, grad_dtype):
         rows = {"many": np.sort(rng.permutation(30)[:12]), "single": np.array([t]),
                 "empty": np.zeros(0, dtype=np.int64)}[case]
         grads = (rng.normal(size=(len(rows), 6)) * 10.0 ** rng.integers(-6, 3)).astype(grad_dtype)
+        if t % 2:
+            grads = with_signed_zeros(grads)
         bc1, bc2 = 1.0 - fast.beta1 ** t, 1.0 - fast.beta2 ** t
         fast._update_rows(tables[0].center, fast._m_center, fast._v_center, rows, grads,
                           bc1, bc2, "center")
@@ -224,6 +232,47 @@ def test_update_rows_matches_reference_bytes(case, table_dtype, grad_dtype):
                               grads, bc1, bc2, "center")
         assert_same_bytes([tables[0].center, fast._m_center, fast._v_center],
                           [tables[1].center, ref._m_center, ref._v_center])
+    (buffer, *_), = fast._buffers.values()
+    assert len(buffer) == block_rows
+
+
+@pytest.mark.parametrize("table_dtype, grad_dtype", DTYPE_PAIRS)
+@pytest.mark.parametrize("case", ["many", "single", "empty"])
+def test_update_rows_matches_reference_bytes(case, table_dtype, grad_dtype):
+    # float64 gradients into float32 tables are what the relational loss
+    # hands a float32 run. The default block holds all rows of a step.
+    check_update_rows_bytes(case, table_dtype, grad_dtype,
+                            params.BLOCK_BYTES // block_bytes(1, table_dtype, grad_dtype, 6))
+
+
+@pytest.mark.parametrize("block_rows", [1, 5])
+@pytest.mark.parametrize("table_dtype, grad_dtype", DTYPE_PAIRS)
+@pytest.mark.parametrize("case", ["many", "single", "empty"])
+def test_update_rows_in_blocks_matches_reference_bytes(case, table_dtype, grad_dtype,
+                                                       block_rows, monkeypatch):
+    # Blocks of 1 and 5 rows split the 12 rows of "many" into 12 and 3 blocks.
+    monkeypatch.setattr(params, "BLOCK_BYTES", block_bytes(block_rows, table_dtype,
+                                                           grad_dtype, 6))
+    check_update_rows_bytes(case, table_dtype, grad_dtype, block_rows)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_gradient_in_last_block_changes_nothing(bad, monkeypatch):
+    monkeypatch.setattr(params, "BLOCK_BYTES", block_bytes(5, np.float64, np.float64, 4))
+    rng = np.random.default_rng(6)
+    tables = EmbeddingTables(center=rng.normal(size=(20, 4)), context=rng.normal(size=(20, 4)))
+    opt = AdamOptimizer(tables, lr=0.05)
+    rows = np.arange(0, 20, 2)  # 10 rows: blocks of 5 and 5
+    for _ in range(3):
+        opt.step(SparseGrad(center_rows=rows, center_grads=rng.normal(size=(10, 4)),
+                            context_rows=rows, context_grads=rng.normal(size=(10, 4))))
+    before = [a.copy() for a in (tables.center, tables.context, *opt.state_arrays().values())]
+    grads = rng.normal(size=(10, 4))
+    grads[-1, 2] = bad
+    with pytest.raises(NumericsError, match="center"):
+        opt.step(SparseGrad(center_rows=rows, center_grads=grads,
+                            context_rows=rows, context_grads=rng.normal(size=(10, 4))))
+    assert_same_bytes([tables.center, tables.context, *opt.state_arrays().values()], before)
 
 
 # checkpoint ------------------------------------------------------------------

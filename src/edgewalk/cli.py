@@ -27,10 +27,10 @@ from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 from . import __version__
-from .errors import ConfigError, EdgewalkError
+from .errors import ConfigError, EdgewalkError, ParseError
 from .evaluation import EvalConfig, node_classification_experiment
 from .graph import load_edge_labels, load_edge_list, load_node_labels, split_labeled_edges
-from .params import config_hash, save_checkpoint
+from .params import config_hash, load_center, save_checkpoint
 from .synth import generate_planted_partition, write_dataset
 from .training import TrainConfig, train, walk_seed
 from .walks import generate_walks, read_walks, write_walks
@@ -64,7 +64,11 @@ def _replacing(path: Path):
         partial.unlink(missing_ok=True)
 
 
-def _write_manifest(path: Path, command: str, config_dict: dict, inputs: dict) -> None:
+def _write_manifest(path: Path, command: str, config_dict: dict, inputs: dict,
+                    digests: dict | None = None, **fields) -> None:
+    """``inputs`` maps names to paths or None; ``digests`` holds sha256 digests
+    the caller already took, by input name; ``fields`` are added as they are."""
+    digests = digests or {}
     manifest = {
         "tool": "edgewalk",
         "tool_version": __version__,
@@ -72,10 +76,12 @@ def _write_manifest(path: Path, command: str, config_dict: dict, inputs: dict) -
         "config": config_dict,
         "config_hash": config_hash(config_dict),
         "inputs": {
-            name: ({"path": str(p), "sha256": _sha256(Path(p))} if p is not None else None)
+            name: ({"path": str(p), "sha256": digests.get(name) or _sha256(Path(p))}
+                   if p is not None else None)
             for name, p in inputs.items()
         },
         "threads": os.environ.get("EDGEWALK_THREADS"),
+        **fields,
     }
     path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
@@ -164,11 +170,15 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     result = train(graph, labeled, config, corpus=corpus)
 
-    with _replacing(out_dir / "embeddings.vec") as partial, open(partial, "w") as fh:
-        write_embeddings(fh, graph.ids, result.tables.center)
+    with _replacing(out_dir / "embeddings.vec") as partial:
+        with open(partial, "w") as fh:
+            write_embeddings(fh, graph.ids, result.tables.center)
+        # Recorded in the checkpoint, so that evaluate can read the center
+        # table from there; a FIFO or device written through is not read back.
+        embeddings_sha256 = _sha256(partial) if partial.is_file() else None
     with _replacing(out_dir / "checkpoint.bin") as partial:
         save_checkpoint(partial, result.tables, result.mlp, result.optimizer,
-                        config.to_dict(), graph.ids)
+                        config.to_dict(), graph.ids, embeddings_sha256)
     with _replacing(out_dir / "training_report.txt") as partial, open(partial, "w") as fh:
         result.report.write(fh)
     log.info("stopped after %d rounds (%s)", len(result.report.rounds),
@@ -176,9 +186,24 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _aligned_eval_inputs(embedding_path: str, node_label_path: str, strict: bool):
-    with open(embedding_path) as fh:
-        ids, matrix = read_embeddings(fh)
+def _embedding_table(path: Path, digest: str):
+    """Ids and table of the embedding file at ``path`` whose sha256 is
+    ``digest``, and the checkpoint they were read from, or None.
+
+    The ``checkpoint.bin`` beside the file holds the same table in binary when
+    its header records ``digest``, and is then read instead of the text. Any
+    other checkpoint, or none, leaves the text to be parsed.
+    """
+    checkpoint = path.with_name("checkpoint.bin")
+    try:
+        return *load_center(checkpoint, digest), checkpoint
+    except (OSError, ParseError) as exc:
+        log.info("%s; reading %s as text", exc, path)
+    with open(path) as fh:
+        return *read_embeddings(fh), None
+
+
+def _aligned_eval_inputs(ids, matrix, node_label_path: str, strict: bool):
     index_of = {name: i for i, name in enumerate(ids)}
     with open(node_label_path) as fh:
         label_set, skipped = load_node_labels(fh, index_of,
@@ -199,11 +224,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     config.validate()
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    digest = _sha256(Path(args.embeddings))
+    ids, matrix, checkpoint = _embedding_table(Path(args.embeddings), digest)
     _write_manifest(out_dir / "eval_manifest.json", "evaluate",
                     dataclasses.asdict(config) | {"strict": args.strict},
-                    {"embeddings": args.embeddings, "node_labels": args.node_labels})
+                    {"embeddings": args.embeddings, "node_labels": args.node_labels},
+                    {"embeddings": digest},
+                    embeddings_checkpoint=None if checkpoint is None else str(checkpoint))
 
-    features, targets = _aligned_eval_inputs(args.embeddings, args.node_labels, args.strict)
+    features, targets = _aligned_eval_inputs(ids, matrix, args.node_labels, args.strict)
     report = node_classification_experiment(features, targets, config)
     table = report.format_table()
     sys.stdout.write(table)

@@ -25,15 +25,7 @@ class ConfigError(EdgewalkError):
 
 
 class NumericsError(EdgewalkError):
-    """Non-finite values encountered during training.
-
-    ``report`` holds the partial training report when the failure happens
-    mid-run, so callers can still persist what was computed.
-    """
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
+    """Non-finite values encountered during training."""
 
 
 def check_allocatable(what: str, *shape: int) -> None:

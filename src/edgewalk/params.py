@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -191,9 +192,13 @@ class AdamOptimizer:
 #   bytes 0..7   magic b"EWCHKPT1"
 #   bytes 8..11  uint32 little-endian: byte length of the JSON header
 #   JSON header  {"config": {...}, "config_hash": "...", "ids": [...],
-#                 "adam_t": int, "arrays": [{"name", "shape", "dtype"}, ...]}
-#   raw array data, C order, in the header's "arrays" order
+#                 "adam_t": int, "embeddings_sha256": "..." or null,
+#                 "arrays": [{"name", "shape", "dtype"}, ...]}
+#   raw array data, C order, in the header's "arrays" order, "center" first
 # The zip-free layout keeps byte output identical across reruns.
+# "embeddings_sha256" is the digest of the embedding file written with the
+# checkpoint, whose text is the center table: ``load_center`` reads the table
+# from here when that file is the one being scored.
 # ---------------------------------------------------------------------------
 
 CHECKPOINT_MAGIC = b"EWCHKPT1"
@@ -219,7 +224,7 @@ class Checkpoint:
 
 
 def save_checkpoint(path, tables: EmbeddingTables, mlp, optimizer: AdamOptimizer,
-                    config_dict: dict, ids) -> None:
+                    config_dict: dict, ids, embeddings_sha256: str | None = None) -> None:
     arrays: list[tuple[str, np.ndarray]] = [("center", tables.center), ("context", tables.context)]
     if mlp is not None:
         for i, w in enumerate(mlp.weights):
@@ -234,6 +239,7 @@ def save_checkpoint(path, tables: EmbeddingTables, mlp, optimizer: AdamOptimizer
         "config_hash": config_hash(config_dict),
         "ids": list(ids),
         "adam_t": optimizer.t,
+        "embeddings_sha256": embeddings_sha256,
         "arrays": [{"name": n, "shape": list(a.shape), "dtype": str(a.dtype)} for n, a in arrays],
     }
     blob = json.dumps(header, sort_keys=True).encode()
@@ -246,25 +252,39 @@ def save_checkpoint(path, tables: EmbeddingTables, mlp, optimizer: AdamOptimizer
             fh.write(np.ascontiguousarray(arr).data)
 
 
+def _read_exact(fh, size: int, path) -> bytes:
+    data = fh.read(size)
+    if len(data) != size:
+        raise ParseError(f"{path}: truncated checkpoint")
+    return data
+
+
+def _read_header(fh, path) -> dict:
+    """Check the magic and parse the JSON header; ``fh`` is left at the first array."""
+    magic = fh.read(8)
+    if magic != CHECKPOINT_MAGIC:
+        raise ParseError(f"{path}: not an edgewalk checkpoint (bad magic {magic!r})")
+    (header_len,) = struct.unpack("<I", _read_exact(fh, 4, path))
+    if header_len > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise ParseError(f"{path}: truncated checkpoint")  # before reserving header_len bytes
+    try:
+        header = json.loads(_read_exact(fh, header_len, path))
+    except ValueError:
+        raise ParseError(f"{path}: checkpoint header is not JSON") from None
+    if not isinstance(header, dict):
+        raise ParseError(f"{path}: checkpoint header is not a JSON object")
+    return header
+
+
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:
-        def read(size: int) -> bytes:
-            data = fh.read(size)
-            if len(data) != size:
-                raise ParseError(f"{path}: truncated checkpoint")
-            return data
-
-        magic = fh.read(8)
-        if magic != CHECKPOINT_MAGIC:
-            raise ParseError(f"{path}: not an edgewalk checkpoint (bad magic {magic!r})")
-        (header_len,) = struct.unpack("<I", read(4))
-        header = json.loads(read(header_len))
+        header = _read_header(fh, path)
         loaded: dict[str, np.ndarray] = {}
         for meta in header["arrays"]:
             shape = tuple(meta["shape"])
             dtype = np.dtype(meta["dtype"])
             count = int(np.prod(shape)) if shape else 1
-            data = read(count * dtype.itemsize)
+            data = _read_exact(fh, count * dtype.itemsize, path)
             loaded[meta["name"]] = np.frombuffer(data, dtype=dtype).reshape(shape).copy()
 
     weights = [loaded[k] for k in sorted(loaded) if k.startswith("mlp_w")]
@@ -280,3 +300,36 @@ def load_checkpoint(path) -> Checkpoint:
         config=header["config"],
         ids=header["ids"],
     )
+
+
+def load_center(path, embeddings_sha256: str) -> tuple[list[str], np.ndarray]:
+    """Node ids and center table, widened to float64, of the checkpoint at
+    ``path`` when its header records ``embeddings_sha256``.
+
+    That digest is of the embedding file written with the checkpoint, whose
+    ``%.17g`` text parses to exactly these values, so the result equals
+    ``read_embeddings`` of that file bit for bit. Only the header and the
+    first array are read. A file that is not such a checkpoint, or that
+    records another digest or none, raises ParseError.
+    """
+    with open(path, "rb") as fh:
+        header = _read_header(fh, path)
+        if header.get("embeddings_sha256") != embeddings_sha256:
+            raise ParseError(f"{path}: not written with this embedding file")
+        # The digest pins the text, not this header: check that the header
+        # names a center table with one row per id before reading one.
+        ids, arrays = header.get("ids"), header.get("arrays")
+        meta = arrays[0] if isinstance(arrays, list) and arrays else None
+        meta = meta if isinstance(meta, dict) else {}
+        shape = meta.get("shape")
+        if not (isinstance(ids, list) and all(isinstance(i, str) for i in ids)
+                and meta.get("name") == "center" and meta.get("dtype") in ("float64", "float32")
+                and isinstance(shape, list) and len(shape) == 2 and shape[0] == len(ids)
+                and type(shape[1]) is int and shape[1] >= 0):
+            raise ParseError(f"{path}: checkpoint header has no center table for its ids")
+        rows, dim = shape
+        dtype = np.dtype(meta["dtype"])
+        if os.fstat(fh.fileno()).st_size - fh.tell() < rows * dim * dtype.itemsize:
+            raise ParseError(f"{path}: truncated checkpoint")
+        center = np.fromfile(fh, dtype=dtype, count=rows * dim)
+    return ids, center.reshape(rows, dim).astype(np.float64, copy=False)

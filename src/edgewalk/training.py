@@ -231,55 +231,50 @@ def train(graph: Graph, labeled_edges: LabelSet | None, config: TrainConfig,
     stopper = EarlyStopTracker(config.early_stop_window)
     stop_reason = "max_rounds"
     consumed = generation = 0
-    try:
-        for round_no in range(1, max_rounds + 1):
-            t0 = time.perf_counter()
-            s_losses = []
-            for _ in range(n_structural):
-                if not reuse_corpus and consumed >= capacity:
-                    generation += 1
-                    corpus = walks.generate_walks(graph, config.walks_per_node,
-                                                  config.walk_length, walk_seed(seed, generation))
-                    consumed = 0
-                batch = walks.sample_pair_batch(corpus, config.window, config.structural_batch,
-                                                pair_rng)
-                consumed += config.structural_batch
-                negatives = structural.sample_negatives(batch[:, 1], config.negatives, noise,
-                                                        neg_rng)
-                loss, grads = structural.loss_and_grads(batch, negatives, tables)
-                if not math.isfinite(loss):
-                    raise NumericsError(f"structural loss diverged in round {round_no}")
-                optimizer.step(grads)
-                s_losses.append(loss)
+    for round_no in range(1, max_rounds + 1):
+        t0 = time.perf_counter()
+        s_losses = []
+        for _ in range(n_structural):
+            if not reuse_corpus and consumed >= capacity:
+                generation += 1
+                corpus = walks.generate_walks(graph, config.walks_per_node,
+                                              config.walk_length, walk_seed(seed, generation))
+                consumed = 0
+            batch = walks.sample_pair_batch(corpus, config.window, config.structural_batch,
+                                            pair_rng)
+            consumed += config.structural_batch
+            negatives = structural.sample_negatives(batch[:, 1], config.negatives, noise,
+                                                    neg_rng)
+            loss, grads = structural.loss_and_grads(batch, negatives, tables)
+            if not math.isfinite(loss):
+                raise NumericsError(f"structural loss diverged in round {round_no}")
+            optimizer.step(grads)
+            s_losses.append(loss)
 
-            r_losses = []
-            for _ in range(n_relational):
-                idx = edge_rng.integers(0, len(train_edges), size=config.relational_batch)
-                loss, grads = relational.relational_backward(train_edges[idx], train_targets[idx],
-                                                             tables, mlp)
-                if not math.isfinite(loss):
-                    raise NumericsError(f"relational loss diverged in round {round_no}")
-                optimizer.step(grads)
-                r_losses.append(loss)
+        r_losses = []
+        for _ in range(n_relational):
+            idx = edge_rng.integers(0, len(train_edges), size=config.relational_batch)
+            loss, grads = relational.relational_backward(train_edges[idx], train_targets[idx],
+                                                         tables, mlp)
+            if not math.isfinite(loss):
+                raise NumericsError(f"relational loss diverged in round {round_no}")
+            optimizer.step(grads)
+            r_losses.append(loss)
 
-            s_mean = float(np.mean(s_losses)) if s_losses else math.nan
-            r_mean = float(np.mean(r_losses)) if r_losses else math.nan
-            if not supervised:
-                val_loss = math.nan
-            elif val_edges is not None:
-                val_loss = relational.relational_loss(val_edges, val_targets, tables, mlp)
-            else:
-                val_loss = r_mean  # empty validation split: fall back to train loss
+        s_mean = float(np.mean(s_losses)) if s_losses else math.nan
+        r_mean = float(np.mean(r_losses)) if r_losses else math.nan
+        if not supervised:
+            val_loss = math.nan
+        elif val_edges is not None:
+            val_loss = relational.relational_loss(val_edges, val_targets, tables, mlp)
+        else:
+            val_loss = r_mean  # empty validation split: fall back to train loss
 
-            report.rounds.append(RoundStats(round_no, s_mean, r_mean, val_loss,
-                                            time.perf_counter() - t0))
-            if supervised and stopper.update(val_loss):
-                stop_reason = "early_stop"
-                break
-    except NumericsError as exc:
-        if exc.report is None:
-            exc.report = report
-        raise
+        report.rounds.append(RoundStats(round_no, s_mean, r_mean, val_loss,
+                                        time.perf_counter() - t0))
+        if supervised and stopper.update(val_loss):
+            stop_reason = "early_stop"
+            break
 
     report.stop_reason = stop_reason
     return TrainResult(tables=tables, mlp=mlp, report=report, optimizer=optimizer)

@@ -51,6 +51,8 @@ RUNS = [
     # A float32 lambda-0 pass whose Adam steps span several row blocks.
     "train mid/graph.edges --lambda 0 --walks-per-node 1 --unsupervised-rounds 1 "
     "--dtype float32 --seed 7 --out-dir mid-0-float32",
+    "evaluate mid-0-float32/embeddings.vec mid/graph.node_labels --seed 7 "
+    "--out-dir mid-0-float32",
     f"train {TINY_DATA} {TINY} --walk-cache cache/walks.txt --out-dir cache/written",
     f"train {TINY_DATA} {TINY} --walk-cache cache/walks.txt --out-dir cache/reused",
     f"sweep lambda {TINY_DATA} tiny/graph.node_labels {TINY} --values 0 0.5 1 "

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -427,6 +428,138 @@ def test_evaluate_missing_node_strict_fails(embedding_files, tmp_path, capsys):
                "--repeats", "1", "--out-dir", str(tmp_path / "e")])
     assert rc != 0
     assert "ghost" in capsys.readouterr().err
+
+
+# evaluate, center table from the checkpoint -------------------------------------
+
+
+def checkpoint_header(path):
+    blob = Path(path).read_bytes()
+    return json.loads(blob[12:12 + int.from_bytes(blob[8:12], "little")])
+
+
+def rewrite_header(path, header):
+    blob = Path(path).read_bytes()
+    body = blob[12 + int.from_bytes(blob[8:12], "little"):]
+    text = json.dumps(header, sort_keys=True).encode()
+    Path(path).write_bytes(blob[:8] + len(text).to_bytes(4, "little") + text + body)
+
+
+@pytest.fixture(scope="module")
+def trained(synth_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("trained")
+    assert run_train(synth_dir, out) == 0
+    return out
+
+
+def evaluate(embeddings, node_labels, out_dir):
+    rc = main(["evaluate", str(embeddings), str(node_labels), "--ratios", "0.5",
+               "--repeats", "3", "--seed", "2", "--out-dir", str(out_dir)])
+    manifest = json.loads((out_dir / "eval_manifest.json").read_text())
+    return rc, (out_dir / "eval_results.tsv").read_bytes(), manifest
+
+
+def text_only_results(vec, node_labels, tmp_path):
+    """Results of the text parse: the file copied to a directory with no checkpoint."""
+    alone = tmp_path / "alone"
+    alone.mkdir()
+    (alone / "embeddings.vec").write_bytes(Path(vec).read_bytes())
+    rc, results, manifest = evaluate(alone / "embeddings.vec", node_labels, alone / "eval")
+    assert rc == 0 and manifest["embeddings_checkpoint"] is None
+    return results
+
+
+def test_train_records_embedding_digest_in_checkpoint(trained):
+    manifest_digest = hashlib.sha256((trained / "embeddings.vec").read_bytes()).hexdigest()
+    assert checkpoint_header(trained / "checkpoint.bin")["embeddings_sha256"] == manifest_digest
+
+
+def test_evaluate_reads_center_from_matching_checkpoint(synth_dir, trained, tmp_path,
+                                                        monkeypatch):
+    want = text_only_results(trained / "embeddings.vec", synth_dir / "graph.node_labels",
+                             tmp_path)
+
+    def no_text(*args):
+        raise AssertionError("the text was parsed")
+
+    monkeypatch.setattr("edgewalk.cli.read_embeddings", no_text)
+    rc, got, manifest = evaluate(trained / "embeddings.vec", synth_dir / "graph.node_labels",
+                                 tmp_path / "eval")
+    assert rc == 0 and got == want
+    assert manifest["embeddings_checkpoint"] == str(trained / "checkpoint.bin")
+    assert manifest["inputs"]["embeddings"]["sha256"] == hashlib.sha256(
+        (trained / "embeddings.vec").read_bytes()).hexdigest()
+
+
+def edit_one_digit(run):
+    vec = run / "embeddings.vec"
+    head, first, rest = vec.read_text().split("\n", 2)
+    digit = next(i for i in range(len(first) - 1, 0, -1) if first[i].isdigit())
+    first = first[:digit] + str((int(first[digit]) + 1) % 10) + first[digit + 1:]
+    vec.write_text("\n".join([head, first, rest]))
+
+
+def cut_in_center(run):
+    ckpt = run / "checkpoint.bin"
+    blob = ckpt.read_bytes()
+    ckpt.write_bytes(blob[:12 + int.from_bytes(blob[8:12], "little") + 20])
+
+
+def drop_digest(run):
+    header = checkpoint_header(run / "checkpoint.bin")
+    del header["embeddings_sha256"]
+    rewrite_header(run / "checkpoint.bin", header)
+
+
+CHECKPOINT_FAULTS = {
+    "edited_text": edit_one_digit,
+    "no_checkpoint": lambda run: (run / "checkpoint.bin").unlink(),
+    "bad_magic": lambda run: (run / "checkpoint.bin").write_bytes(
+        b"NOTMAGIC" + (run / "checkpoint.bin").read_bytes()[8:]),
+    "cut_in_header": lambda run: (run / "checkpoint.bin").write_bytes(
+        (run / "checkpoint.bin").read_bytes()[:40]),
+    "cut_in_center": cut_in_center,
+    "old_header_without_digest": drop_digest,
+    "directory": lambda run: ((run / "checkpoint.bin").unlink(),
+                              (run / "checkpoint.bin").mkdir()),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(CHECKPOINT_FAULTS))
+def test_evaluate_falls_back_to_the_text(synth_dir, trained, tmp_path, caplog, fault):
+    run = tmp_path / "run"
+    run.mkdir()
+    for name in ("embeddings.vec", "checkpoint.bin"):
+        (run / name).write_bytes((trained / name).read_bytes())
+    CHECKPOINT_FAULTS[fault](run)
+    want = text_only_results(run / "embeddings.vec", synth_dir / "graph.node_labels", tmp_path)
+    caplog.set_level("INFO", logger="edgewalk")
+    rc, got, manifest = evaluate(run / "embeddings.vec", synth_dir / "graph.node_labels",
+                                 tmp_path / "eval")
+    assert rc == 0 and got == want
+    assert manifest["embeddings_checkpoint"] is None
+    assert any("checkpoint.bin" in rec.message and "as text" in rec.message
+               for rec in caplog.records)
+
+
+@pytest.mark.parametrize("target", ["regular file", "/dev/null"])
+def test_train_through_symlinked_embeddings(synth_dir, tmp_path, target):
+    dest = Path(target) if target.startswith("/") else tmp_path / "elsewhere.vec"
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "embeddings.vec").symlink_to(dest)
+    assert run_train(synth_dir, run) == 0
+    assert (run / "embeddings.vec").is_symlink()
+    recorded = checkpoint_header(run / "checkpoint.bin")["embeddings_sha256"]
+    if not dest.is_file():
+        assert recorded is None  # a device written through is not read back
+        return
+    assert recorded == hashlib.sha256(dest.read_bytes()).hexdigest()
+    want = text_only_results(dest, synth_dir / "graph.node_labels", tmp_path)
+    rc, got, manifest = evaluate(run / "embeddings.vec", synth_dir / "graph.node_labels",
+                                 tmp_path / "eval")
+    assert rc == 0 and got == want
+    assert manifest["embeddings_checkpoint"] == str(run / "checkpoint.bin")
 
 
 # sweep --------------------------------------------------------------------------

@@ -1,7 +1,16 @@
+import hashlib
+import json
+import struct
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from edgewalk import params
+from edgewalk.embedding_io import read_embeddings, write_embeddings
 from edgewalk.errors import NumericsError, ParseError, ValidationError
 from edgewalk.params import (
     AdamOptimizer,
@@ -9,6 +18,7 @@ from edgewalk.params import (
     SparseGrad,
     accumulate_rows,
     init_embeddings,
+    load_center,
     load_checkpoint,
     save_checkpoint,
 )
@@ -345,3 +355,92 @@ def test_checkpoint_truncated(tmp_path):
         cut.write_bytes(blob[:size])
         with pytest.raises(ParseError, match="truncated"):
             load_checkpoint(cut)
+
+
+# the center table read for evaluate ---------------------------------------------
+
+CENTER = settings(max_examples=100, deadline=None, derandomize=True, database=None,
+                  suppress_health_check=[HealthCheck.too_slow])
+# Node ids as the graph loaders make them: no character that str.split() splits on.
+node_id = st.text(st.characters(blacklist_categories=("Z", "C")), min_size=1, max_size=6)
+EDGE_VALUES = {np.float64: [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e300, -1e300],
+               np.float32: [-0.0, 0.0, 1e-45, -1.1754942e-38, 3.4028235e38, -3.4028235e38]}
+
+
+def write_with_checkpoint(directory, ids, center, record_digest=True):
+    """embeddings.vec and checkpoint.bin as ``train`` writes them; returns their paths
+    and the embedding file's sha256."""
+    vec, ckpt = directory / "embeddings.vec", directory / "checkpoint.bin"
+    with open(vec, "w") as fh:
+        write_embeddings(fh, ids, center)
+    digest = hashlib.sha256(vec.read_bytes()).hexdigest()
+    tables = EmbeddingTables(center=center, context=np.zeros_like(center))
+    save_checkpoint(ckpt, tables, None, AdamOptimizer(tables), {"seed": 0}, ids,
+                    digest if record_digest else None)
+    return vec, ckpt, digest
+
+
+@CENTER
+@given(st.sampled_from([np.float64, np.float32]), st.data())
+def test_center_from_checkpoint_equals_text_bit_for_bit(dtype, data):
+    rows = data.draw(st.integers(1, 6))
+    dim = data.draw(st.integers(1, 5))
+    finite = st.floats(width=np.finfo(dtype).bits, allow_nan=False, allow_infinity=False)
+    values = st.one_of(st.sampled_from(EDGE_VALUES[dtype]), finite)
+    center = np.array(data.draw(st.lists(values, min_size=rows * dim, max_size=rows * dim)),
+                      dtype=dtype).reshape(rows, dim)
+    ids = data.draw(st.lists(node_id, min_size=rows, max_size=rows))
+    with tempfile.TemporaryDirectory() as tmp:
+        vec, ckpt, digest = write_with_checkpoint(Path(tmp), ids, center)
+        got_ids, got = load_center(ckpt, digest)
+        with open(vec) as fh:
+            want_ids, want = read_embeddings(fh)
+    assert got_ids == want_ids == ids
+    assert got.dtype == want.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+
+
+def test_center_needs_the_recorded_digest(tmp_path):
+    vec, ckpt, digest = write_with_checkpoint(tmp_path, ["a", "b"], np.eye(2))
+    with pytest.raises(ParseError, match="not written with this embedding file"):
+        load_center(ckpt, "0" * 64)
+    write_with_checkpoint(tmp_path, ["a", "b"], np.eye(2), record_digest=False)
+    with pytest.raises(ParseError, match="not written with this embedding file"):
+        load_center(ckpt, digest)
+
+
+json_value = st.recursive(st.none() | st.booleans() | st.integers(-1, 4) | st.text(max_size=3)
+                          | st.sampled_from(["center", "float32", "int8"]),
+                          lambda inner: st.lists(inner, max_size=3)
+                          | st.dictionaries(st.sampled_from(["name", "shape", "dtype"]), inner,
+                                            max_size=3),
+                          max_leaves=6)
+
+
+def header_with(field, value):
+    """A center table's header entries with ``field`` (or none) set to ``value``."""
+    meta = {"name": "center", "shape": [2, 3], "dtype": "float64"}
+    header = {"embeddings_sha256": "d", "ids": ["a", "b"], "arrays": [meta]}
+    if field in ("ids", "arrays"):
+        header[field] = value
+    elif field in ("rows", "dim"):
+        meta["shape"][field == "dim"] = value
+    elif field is not None:
+        meta[field] = value
+    return header
+
+
+@CENTER
+@given(st.sampled_from(["ids", "arrays", "name", "shape", "rows", "dim", "dtype", None]),
+       json_value, st.binary(min_size=40, max_size=56))  # a 2 x 3 float64 table is 48 bytes
+def test_any_header_with_the_digest_loads_or_is_a_parse_error(field, value, body):
+    header = json.dumps(header_with(field, value)).encode()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "checkpoint.bin"
+        path.write_bytes(params.CHECKPOINT_MAGIC + struct.pack("<I", len(header)) + header
+                         + body)
+        try:
+            ids, center = load_center(path, "d")
+        except ParseError:
+            return
+    assert center.dtype == np.float64 and center.shape[0] == len(ids)

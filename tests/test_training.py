@@ -291,14 +291,13 @@ def test_float32_option():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
-def test_divergence_raises_with_partial_report():
+def test_divergence_raises_numerics_error():
     from edgewalk.errors import NumericsError
 
     graph, labeled, _ = toy_community_inputs(seed=2)
     cfg = small_config(lr=1e200, max_rounds=4)
-    with pytest.raises(NumericsError) as excinfo:
+    with pytest.raises(NumericsError, match="non-finite|diverged"):
         train(graph, labeled, cfg)
-    assert excinfo.value.report is not None
 
 
 def test_corpus_regeneration_changes_result():

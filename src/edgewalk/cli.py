@@ -32,8 +32,8 @@ from .evaluation import EvalConfig, node_classification_experiment
 from .graph import load_edge_labels, load_edge_list, load_node_labels, split_labeled_edges
 from .params import config_hash, load_center, save_checkpoint
 from .synth import generate_planted_partition, write_dataset
-from .training import TrainConfig, train, walk_seed
-from .walks import generate_walks, read_walks, write_walks
+from .training import TrainConfig, train
+from .walks import generate_walks, write_walks
 from .embedding_io import read_embeddings, write_embeddings
 
 log = logging.getLogger("edgewalk")
@@ -132,8 +132,6 @@ def _add_train_flags(parser: argparse.ArgumentParser) -> None:
 
 def cmd_train(args: argparse.Namespace) -> int:
     config = _collect_train_config(args)
-    if args.walk_cache:
-        config.regenerate_walks = False  # a cache holds the one corpus the run reuses
     if config.lambda_ > 0 and not args.edge_labels:
         raise ConfigError("lambda > 0 needs an edge-label file")
     out_dir = Path(args.out_dir)
@@ -146,29 +144,9 @@ def cmd_train(args: argparse.Namespace) -> int:
         with open(args.edge_labels) as fh:
             labeled = load_edge_labels(fh, graph)
 
-    corpus = None
-    cache = Path(args.walk_cache) if args.walk_cache else None
-    if cache is not None and cache.exists():
-        with open(cache) as fh:
-            corpus = read_walks(fh, graph)
-        if (corpus.walk_length, corpus.walks_per_node) != (config.walk_length,
-                                                           config.walks_per_node):
-            raise ConfigError(
-                f"{cache}: walks of length {corpus.walk_length}, {corpus.walks_per_node} per "
-                f"node; config asks for {config.walk_length}, {config.walks_per_node}")
-
     _write_manifest(out_dir / "manifest.json", "train", config.to_dict(),
-                    {"edges": args.edges, "edge_labels": args.edge_labels,
-                     "walk_cache": str(cache) if corpus is not None else None})
-
-    if cache is not None and corpus is None:
-        corpus = generate_walks(graph, config.walks_per_node, config.walk_length,
-                                walk_seed(config.seed))
-        with _replacing(cache) as partial, open(partial, "w") as fh:
-            write_walks(corpus, graph, fh)
-        log.info("walk corpus cached to %s", cache)
-
-    result = train(graph, labeled, config, corpus=corpus)
+                    {"edges": args.edges, "edge_labels": args.edge_labels})
+    result = train(graph, labeled, config)
 
     with _replacing(out_dir / "embeddings.vec") as partial:
         with open(partial, "w") as fh:
@@ -275,7 +253,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.parameter not in SWEEP_PARAMS:
         raise ConfigError(f"unknown sweep parameter {args.parameter!r}; "
                           f"choose from {', '.join(SWEEP_PARAMS)}")
+    if args.parameter == "dim" and not all(v.is_integer() for v in args.values):
+        raise ConfigError(f"dim values must be integers, got {args.values}")
     base = _collect_train_config(args)
+    eval_config = EvalConfig(train_ratios=(args.eval_ratio,), repeats=args.eval_repeats,
+                             seed=args.eval_seed)
+    eval_config.validate()
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -298,8 +281,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     {"edges": args.edges, "edge_labels": args.edge_labels,
                      "node_labels": args.node_labels})
 
-    eval_config = EvalConfig(train_ratios=(args.eval_ratio,), repeats=args.eval_repeats,
-                             seed=args.eval_seed)
     series = []
     for value in args.values:
         config = dataclasses.replace(base)
@@ -340,9 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("edge_labels", nargs="?", default=None,
                          help="edge-label file: 'src dst label1[,label2,...]' per line")
     p_train.add_argument("--out-dir", default=".", help="where outputs are written")
-    p_train.add_argument("--walk-cache", default=None,
-                         help="walk corpus file: loaded if present, else written; "
-                              "implies a single reused corpus")
     _add_train_flags(p_train)
     p_train.set_defaults(func=cmd_train)
 

@@ -48,8 +48,10 @@ class EvalConfig:
             raise ConfigError(f"train ratios must lie in (0, 1), got {self.train_ratios}")
         if self.repeats < 1:
             raise ConfigError(f"repeats must be >= 1, got {self.repeats}")
-        if self.l2_strength < 0:
-            raise ConfigError(f"l2_strength must be >= 0, got {self.l2_strength}")
+        if not 0.0 <= self.l2_strength < math.inf:
+            raise ConfigError(f"l2_strength must be finite and >= 0, got {self.l2_strength}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass

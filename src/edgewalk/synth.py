@@ -66,6 +66,8 @@ def generate_planted_partition(communities: int, community_size: int, p_in: floa
         raise ConfigError(f"require p_in > p_out > 0, got p_in={p_in}, p_out={p_out}")
     if not 0.0 < label_fraction <= 1.0:
         raise ConfigError(f"label_fraction must be in (0, 1], got {label_fraction}")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
 
     n = communities * community_size
     # About 24 8-byte items per node (arrays and name strings), 6 per pair of a block.

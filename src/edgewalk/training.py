@@ -42,11 +42,6 @@ def _stream(seed: int, tag: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, tag]))
 
 
-def walk_seed(seed: int, generation: int = 0) -> int:
-    """Seed the trainer would use for the given walk-corpus generation."""
-    return _derive_seed(seed, _S_WALKS, generation)
-
-
 @dataclass
 class TrainConfig:
     """All training hyperparameters, with library defaults."""
@@ -169,14 +164,8 @@ def schedule_counts(batches_per_round: int, lambda_: float) -> tuple[int, int]:
     return n_structural, batches_per_round - n_structural
 
 
-def train(graph: Graph, labeled_edges: LabelSet | None, config: TrainConfig,
-          corpus: walks.WalkCorpus | None = None) -> TrainResult:
-    """Run the joint training loop and return tables, classifier and report.
-
-    ``corpus`` injects a pre-built walk corpus (e.g. loaded from a cache
-    file); it is then reused for the whole run instead of being
-    regenerated once per corpus-exhausting pass.
-    """
+def train(graph: Graph, labeled_edges: LabelSet | None, config: TrainConfig) -> TrainResult:
+    """Run the joint training loop and return tables, classifier and report."""
     config.validate()
     seed = config.seed
     supervised = config.lambda_ > 0.0
@@ -210,11 +199,9 @@ def train(graph: Graph, labeled_edges: LabelSet | None, config: TrainConfig,
     noise = structural.NoiseDistribution(graph.degrees, config.noise_power)
 
     capacity = 0
-    reuse_corpus = corpus is not None or not config.regenerate_walks
     if n_structural > 0:
-        if corpus is None:
-            corpus = walks.generate_walks(graph, config.walks_per_node, config.walk_length,
-                                          walk_seed(seed, 0))
+        corpus = walks.generate_walks(graph, config.walks_per_node, config.walk_length,
+                                      _derive_seed(seed, _S_WALKS, 0))
         capacity = corpus.pair_capacity(config.window)
 
     max_rounds = config.max_rounds
@@ -235,10 +222,10 @@ def train(graph: Graph, labeled_edges: LabelSet | None, config: TrainConfig,
         t0 = time.perf_counter()
         s_losses = []
         for _ in range(n_structural):
-            if not reuse_corpus and consumed >= capacity:
+            if config.regenerate_walks and consumed >= capacity:
                 generation += 1
-                corpus = walks.generate_walks(graph, config.walks_per_node,
-                                              config.walk_length, walk_seed(seed, generation))
+                corpus = walks.generate_walks(graph, config.walks_per_node, config.walk_length,
+                                              _derive_seed(seed, _S_WALKS, generation))
                 consumed = 0
             batch = walks.sample_pair_batch(corpus, config.window, config.structural_batch,
                                             pair_rng)

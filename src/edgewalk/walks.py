@@ -10,11 +10,10 @@ so a corpus is a function of (graph, walks per node, length, seed).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, ValidationError, check_allocatable
+from .errors import ConfigError, ValidationError, check_allocatable
 from .graph import Graph
 
 
@@ -52,6 +51,8 @@ def generate_walks(graph: Graph, walks_per_node: int, walk_length: int, seed: in
         raise ConfigError(f"walks_per_node must be >= 1, got {walks_per_node}")
     if walk_length < 2:
         raise ConfigError(f"walk_length must be >= 2, got {walk_length}")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     degrees = graph.degrees
     if graph.num_nodes == 0 or (degrees == 0).any():
         raise ValidationError("walk generation requires every node to have degree >= 1")
@@ -106,48 +107,3 @@ def write_walks(corpus: WalkCorpus, graph: Graph, stream) -> None:
     ids = graph.ids
     for row in corpus.walks:
         stream.write(" ".join(ids[v] for v in row) + "\n")
-
-
-def read_walks(lines: Iterable[str], graph: Graph) -> WalkCorpus:
-    """Load a walk corpus dumped by :func:`write_walks`.
-
-    The header comment is optional; without it, walks_per_node is inferred
-    from the row count and the recorded seed is -1 (unknown provenance).
-    Row ``v * walks_per_node + k`` must start at node ``v``, so a short or
-    reordered file is a :class:`ParseError`.
-    """
-    walks_per_node = -1
-    seed = -1
-    rows: list[list[int]] = []
-    header_keys = ("walks_per_node=", "walk_length=", "seed=")
-    for raw in lines:
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            if all(key in line for key in header_keys):
-                try:
-                    parts = dict(p.split("=", 1) for p in line[1:].split())
-                    walks_per_node = int(parts["walks_per_node"])
-                    seed = int(parts["seed"])
-                except (KeyError, ValueError):
-                    raise ParseError(f"bad walk file header {line!r}") from None
-            continue
-        try:
-            rows.append([graph.index[token] for token in line.split()])
-        except KeyError as exc:
-            raise ValidationError(f"walk file names unknown node {exc.args[0]!r}") from None
-    if not rows:
-        raise ParseError("walk file holds no walks")
-    length = len(rows[0])
-    if any(len(r) != length for r in rows):
-        raise ParseError("walk file mixes walk lengths")
-    if walks_per_node < 0:
-        walks_per_node = len(rows) // graph.num_nodes
-    walks = np.asarray(rows, dtype=np.int64)
-    if len(walks) != graph.num_nodes * walks_per_node or (
-            walks[:, 0] != np.arange(len(walks)) // walks_per_node).any():
-        raise ParseError(f"walk file is not {walks_per_node} walks per node in node order "
-                         f"({len(walks)} walks for {graph.num_nodes} nodes)")
-    walks.setflags(write=False)
-    return WalkCorpus(walks=walks, walks_per_node=walks_per_node, walk_length=length, seed=seed)

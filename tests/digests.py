@@ -53,8 +53,9 @@ RUNS = [
     "--dtype float32 --seed 7 --out-dir mid-0-float32",
     "evaluate mid-0-float32/embeddings.vec mid/graph.node_labels --seed 7 "
     "--out-dir mid-0-float32",
-    f"train {TINY_DATA} {TINY} --walk-cache cache/walks.txt --out-dir cache/written",
-    f"train {TINY_DATA} {TINY} --walk-cache cache/walks.txt --out-dir cache/reused",
+    # One corpus reused for every pass.
+    f"train {TINY_DATA} {TINY} --lambda 0 --unsupervised-rounds 2 --no-regenerate-walks "
+    "--out-dir single-corpus",
     f"sweep lambda {TINY_DATA} tiny/graph.node_labels {TINY} --values 0 0.5 1 "
     "--out-dir sweep-lambda",
     f"sweep label-fraction {TINY_DATA} tiny/graph.node_labels {TINY} --values 0.3 1 "

@@ -151,6 +151,16 @@ def walks_reference(graph, walks_per_node, walk_length, seed):
     return np.array(walks, dtype=np.int64)
 
 
+def walks_by_line(stream, graph):
+    """Reference reader for ``write_walks`` output: the header's fields as
+    ints (walks_per_node, walk_length, seed) and the walks as node indices."""
+    header, *rows = stream.read().splitlines()
+    assert header.startswith("# "), header
+    fields = {key: int(value) for key, value in (part.split("=") for part in header[2:].split())}
+    return fields, np.array([[graph.index[t] for t in row.split()] for row in rows],
+                            dtype=np.int64)
+
+
 def compose_edge_embedding(u, v, tables):
     """Concatenate the center rows of min(u, v) and max(u, v)."""
     lo, hi = (u, v) if u < v else (v, u)

@@ -7,7 +7,6 @@ derandomized so every run checks the same inputs.
 
 import io
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -15,18 +14,15 @@ from edgewalk.embedding_io import read_embeddings
 from edgewalk.errors import EdgewalkError
 from edgewalk.graph import load_edge_labels, load_edge_list, load_node_labels
 from edgewalk.training import TrainConfig
-from edgewalk.walks import read_walks
 
 FUZZ = settings(max_examples=100, deadline=None, derandomize=True, database=None,
                 suppress_health_check=[HealthCheck.too_slow])
 
 # Tokens that reach the parsers' branches: known nodes, label lists, numbers
-# of every kind, walk-file header fields, comment marks.
+# of every kind, comment marks.
 TOKENS = ["a", "b", "c", "d", "#", "0", "1", "2", "3", "-1", "1.5", "nan", "inf", "-inf",
           "1e999", "x", "x,y", ",", "x,", ",y", "99999999999", "99999999999999999999",
-          "walks_per_node=1", "walks_per_node=2", "walks_per_node=-3",
-          "walks_per_node=99999999999", "walks_per_node=x", "walk_length=3", "seed=1",
-          "seed=", "=", "٣", "\x00"]
+          "=", "٣", "\x00"]
 token = st.one_of(st.sampled_from(TOKENS), st.text(max_size=4))
 line = st.one_of(st.lists(token, max_size=5).map(" ".join), st.text(max_size=12))
 text = st.lists(line, max_size=8).map("\n".join)
@@ -65,20 +61,6 @@ def test_embedding_text(data):
     only_edgewalk_errors(read_embeddings, io.StringIO(data))
 
 
-counts = st.one_of(st.sampled_from(["0", "1", "2", "-1", "-3", "99999999999", "x", ""]),
-                   st.text(max_size=3))
-walk_header = st.builds("# walks_per_node={} walk_length={} seed={}".format,
-                        counts, counts, counts)
-walk_rows = st.lists(st.lists(st.sampled_from("abc"), min_size=3, max_size=3).map(" ".join),
-                     min_size=1, max_size=7).map("\n".join)
-
-
-@FUZZ
-@given(st.one_of(text, st.tuples(walk_header, st.one_of(walk_rows, text)).map("\n".join)))
-def test_walk_text(data):
-    only_edgewalk_errors(read_walks, io.StringIO(data), TRIANGLE)
-
-
 json_like = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner,
@@ -97,10 +79,3 @@ def test_config_dict(data):
         TrainConfig.from_dict(d).validate()
 
     only_edgewalk_errors(build, data)
-
-
-@pytest.mark.parametrize("header", ["# walks_per_node=99999999999 walk_length=3 seed=1",
-                                    "# walks_per_node=-3 walk_length=3 seed=1"])
-def test_walk_header_count_out_of_range(header):
-    with pytest.raises(EdgewalkError, match="walks per node"):
-        read_walks(io.StringIO(header + "\na b c\n"), TRIANGLE)

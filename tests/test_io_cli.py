@@ -16,9 +16,8 @@ from edgewalk.embedding_io import read_embeddings, write_embeddings
 from edgewalk.errors import ParseError
 from edgewalk.graph import load_edge_list
 from edgewalk.params import load_checkpoint
-from edgewalk.walks import read_walks
 
-from oracles import has_edge
+from oracles import has_edge, walks_by_line
 
 
 # embedding text format ---------------------------------------------------------
@@ -217,76 +216,6 @@ def test_config_file_merge_and_flag_override(synth_dir, tmp_path):
     assert manifest["config"]["seed"] == 11    # file fills the rest
 
 
-def test_walk_cache_written_and_reused(synth_dir, tmp_path):
-    cache = tmp_path / "walks.txt"
-    dir_a, dir_b = tmp_path / "a", tmp_path / "b"
-    assert run_train(synth_dir, dir_a, "--walk-cache", str(cache)) == 0
-    assert cache.exists()
-    graph = load_edge_list(open(synth_dir / "graph.edges"))
-    corpus = read_walks(open(cache), graph)
-    assert corpus.num_walks == graph.num_nodes * 2
-    # Second run consumes the cache and reproduces the embeddings.
-    assert run_train(synth_dir, dir_b, "--walk-cache", str(cache)) == 0
-    assert (dir_a / "embeddings.vec").read_bytes() == (dir_b / "embeddings.vec").read_bytes()
-
-
-def test_walk_cache_run_replays_from_its_manifest(synth_dir, tmp_path):
-    # A cache pins one corpus for the whole run, so the manifest records
-    # regenerate_walks false and a replay without the cache draws that corpus.
-    run, replay = tmp_path / "run", tmp_path / "replay"
-    assert run_train(synth_dir, run, "--walk-cache", str(tmp_path / "walks.txt"),
-                     "--lambda", "0", "--unsupervised-rounds", "3") == 0
-    manifest = json.loads((run / "manifest.json").read_text())
-    assert manifest["config"]["regenerate_walks"] is False
-    assert main(["train", str(synth_dir / "graph.edges"), str(synth_dir / "graph.edge_labels"),
-                 "--config", str(run / "manifest.json"), "--out-dir", str(replay)]) == 0
-    for name in ("embeddings.vec", "checkpoint.bin"):
-        assert (run / name).read_bytes() == (replay / name).read_bytes()
-
-
-@pytest.mark.parametrize("flag", ["--walk-length", "--walks-per-node"])
-def test_walk_cache_mismatch_refused(synth_dir, tmp_path, capsys, flag):
-    cache = tmp_path / "walks.txt"
-    assert run_train(synth_dir, tmp_path / "a", "--walk-cache", str(cache)) == 0
-    out = tmp_path / "b"
-    rc = run_train(synth_dir, out, "--walk-cache", str(cache), flag, "3")
-    assert rc == 2
-    assert capsys.readouterr().err.startswith("error:")
-    assert not (out / "manifest.json").exists()
-
-
-@pytest.mark.parametrize("header", ["# walks_per_node=x walk_length=4 seed=1",
-                                    "# walks_per_node=2 walk_length=4 seed=1 junk"])
-def test_walk_cache_bad_header_is_an_error(synth_dir, tmp_path, capsys, header):
-    cache = tmp_path / "walks.txt"
-    assert run_train(synth_dir, tmp_path / "a", "--walk-cache", str(cache)) == 0
-    cache.write_text(header + "\n" + cache.read_text().split("\n", 1)[1])
-    rc = run_train(synth_dir, tmp_path / "b", "--walk-cache", str(cache))
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:")
-    assert "Traceback" not in err
-
-
-@pytest.mark.parametrize("edit", ["short", "shuffled"])
-def test_walk_cache_out_of_layout_is_an_error(synth_dir, tmp_path, capsys, edit):
-    # A killed writer can leave a short cache; neither it nor a reordered one
-    # matches the walks-per-node layout its header claims.
-    cache = tmp_path / "walks.txt"
-    assert run_train(synth_dir, tmp_path / "a", "--walk-cache", str(cache)) == 0
-    assert [p.name for p in tmp_path.iterdir() if p.is_file()] == ["walks.txt"]
-    header, *rows = cache.read_text().splitlines()
-    rows = rows[:1] if edit == "short" else rows[1:] + rows[:1]
-    cache.write_text("\n".join([header, *rows]) + "\n")
-    out = tmp_path / "b"
-    rc = run_train(synth_dir, out, "--walk-cache", str(cache))
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:")
-    assert "walks per node" in err
-    assert not (out / "manifest.json").exists()
-
-
 # One-step skip-gram runs: a NaN lr let through finishes one with exit 0 and
 # all-NaN embeddings, before any loss can turn non-finite.
 ONE_STEP = '"lambda_": 0.0, "unsupervised_rounds": 1, "walks_per_node": 1, "walk_length": 2'
@@ -334,6 +263,40 @@ def test_unallocatable_value_is_an_error(synth_dir, tmp_path, capsys, command, f
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert err.endswith("needs more memory than this machine has\n")
+
+
+# Values that numpy or scipy would take and fail on, or take without complaint:
+# each is refused before a manifest or any other output is written.
+@pytest.mark.parametrize("command, flags", [
+    ("synth", ["--seed", "-1"]),
+    ("walk", ["--seed", "-1"]),
+    ("evaluate", ["--seed", "-1"]),
+    ("evaluate", ["--l2-strength", "nan"]),
+    ("evaluate", ["--l2-strength", "inf"]),
+    ("sweep", ["lambda", "--values", "0", "--eval-seed", "-1"]),
+    ("sweep", ["dim", "--values", "8.7"]),
+], ids=["synth-seed", "walk-seed", "evaluate-seed", "l2-nan", "l2-inf", "sweep-eval-seed",
+        "sweep-dim-fraction"])
+def test_bad_value_is_refused_before_any_output(synth_dir, embedding_files, tmp_path, capsys,
+                                                command, flags):
+    out = tmp_path / "out"
+    data = [str(synth_dir / name) for name in ("graph.edges", "graph.edge_labels",
+                                               "graph.node_labels")]
+    if command == "synth":
+        argv = ["synth", "--out-dir", str(out), *flags]
+    elif command == "walk":
+        argv = ["walk", data[0], "--out", str(out), *flags]
+    elif command == "evaluate":
+        argv = ["evaluate", *map(str, embedding_files), "--ratios", "0.5", "--repeats", "2",
+                "--out-dir", str(out), *flags]
+    else:
+        argv = ["sweep", flags[0], *data, "--eval-ratio", "0.3",
+                "--eval-repeats", "1", "--out-dir", str(out), *TINY_TRAIN_FLAGS, *flags[1:]]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_out_of_memory_is_an_error(tmp_path, capsys, monkeypatch):
@@ -635,9 +598,11 @@ def test_walk_command(synth_dir, tmp_path):
                "--walk-length", "5", "--seed", "4", "--out", str(out)])
     assert rc == 0
     graph = load_edge_list(open(synth_dir / "graph.edges"))
-    corpus = read_walks(open(out), graph)
-    assert corpus.walks.shape == (graph.num_nodes * 2, 5)
-    for walk in corpus.walks:
+    with open(out) as fh:
+        fields, walks = walks_by_line(fh, graph)
+    assert fields == {"walks_per_node": 2, "walk_length": 5, "seed": 4}
+    assert walks.shape == (graph.num_nodes * 2, 5)
+    for walk in walks:
         for u, v in zip(walk, walk[1:]):
             assert has_edge(graph, u, v)
 

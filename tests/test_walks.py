@@ -6,11 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
-from edgewalk.errors import ParseError
 from edgewalk.graph import load_edge_list
-from edgewalk.walks import WalkCorpus, generate_walks, read_walks, sample_pair_batch, write_walks
+from edgewalk.walks import WalkCorpus, generate_walks, sample_pair_batch, write_walks
 
-from oracles import extract_pairs, has_edge, walks_reference
+from oracles import extract_pairs, has_edge, walks_by_line, walks_reference
 
 
 def path_graph():
@@ -221,28 +220,6 @@ def test_walk_file_round_trip():
     corpus = generate_walks(g, 2, 5, seed=21)
     buf = io.StringIO()
     write_walks(corpus, g, buf)
-    loaded = read_walks(io.StringIO(buf.getvalue()), g)
-    assert np.array_equal(corpus.walks, loaded.walks)
-    assert loaded.walks_per_node == 2
-    assert loaded.walk_length == 5
-    assert loaded.seed == 21
-
-
-def test_walk_file_without_header_infers_layout():
-    g = triangle()
-    corpus = generate_walks(g, 2, 4, seed=6)
-    buf = io.StringIO()
-    write_walks(corpus, g, buf)
-    rows = buf.getvalue().splitlines()[1:]
-    loaded = read_walks(rows, g)
-    assert loaded.walks_per_node == 2 and loaded.seed == -1
-    assert np.array_equal(loaded.walks, corpus.walks)
-    for bad in (rows[:-1], rows[2:] + rows[:2]):
-        with pytest.raises(ParseError):
-            read_walks(bad, g)
-
-
-def test_walk_file_unknown_node():
-    g = triangle()
-    with pytest.raises(Exception):
-        read_walks(io.StringIO("a b zz\n"), g)
+    fields, walks = walks_by_line(io.StringIO(buf.getvalue()), g)
+    assert fields == {"walks_per_node": 2, "walk_length": 5, "seed": 21}
+    assert np.array_equal(corpus.walks, walks)

@@ -256,11 +256,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.parameter == "dim" and not all(v.is_integer() for v in args.values):
         raise ConfigError(f"dim values must be integers, got {args.values}")
     base = _collect_train_config(args)
+    configs = []
+    for value in args.values:
+        config = dataclasses.replace(base)
+        if args.parameter == "lambda":
+            config.lambda_ = float(value)
+        elif args.parameter == "dim":
+            config.dim = int(value)
+        config.validate()
+        configs.append(config)
     eval_config = EvalConfig(train_ratios=(args.eval_ratio,), repeats=args.eval_repeats,
                              seed=args.eval_seed)
     eval_config.validate()
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     with open(args.edges) as fh:
         graph = load_edge_list(fh)
@@ -270,7 +277,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         node_label_set, skipped = load_node_labels(fh, graph.index, on_missing="skip")
     for name in skipped:
         log.warning("node %r has labels but is not in the graph; excluded", name)
+    # Every value is checked before any output, so a bad one writes nothing.
+    if args.parameter == "label-fraction":
+        labeled_sets = [split_labeled_edges(full_labels, float(value), base.seed)[0]
+                        for value in args.values]
+    else:
+        labeled_sets = [full_labels] * len(args.values)
 
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     stem = f"sweep_{args.parameter.replace('-', '_')}"
     _write_manifest(out_dir / f"{stem}_manifest.json", "sweep",
                     base.to_dict() | {"sweep_parameter": args.parameter,
@@ -282,16 +297,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                      "node_labels": args.node_labels})
 
     series = []
-    for value in args.values:
-        config = dataclasses.replace(base)
-        labeled = full_labels
-        if args.parameter == "lambda":
-            config.lambda_ = float(value)
-        elif args.parameter == "dim":
-            config.dim = int(value)
-        else:
-            labeled, _ = split_labeled_edges(full_labels, float(value), base.seed)
-        config.validate()
+    for value, config, labeled in zip(args.values, configs, labeled_sets):
         result = train(graph, labeled if config.lambda_ > 0 else None, config)
         report = node_classification_experiment(result.tables.center[node_label_set.owners],
                                                 node_label_set.targets, eval_config)

@@ -3,9 +3,17 @@
 import io
 
 import numpy as np
+from hypothesis import strategies as st
 
 from edgewalk.graph import load_edge_labels, load_edge_list, load_node_labels
 from edgewalk.synth import generate_planted_partition, write_dataset
+
+# Node ids as the graph loaders make them: no character that str.split() splits on.
+node_id = st.text(st.characters(blacklist_categories=("Z", "C")), min_size=1, max_size=6)
+# Signed zeros, the smallest subnormal, the largest negative normal and values
+# near the top of each float width.
+EDGE_VALUES = {np.float64: [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e300, -1e300],
+               np.float32: [-0.0, 0.0, 1e-45, -1.1754942e-38, 3.4028235e38, -3.4028235e38]}
 
 
 def dataset_streams(dataset):

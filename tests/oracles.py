@@ -119,6 +119,16 @@ def write_edge_list(graph, stream):
         stream.write(f"{graph.ids[u]} {graph.ids[v]}\n")
 
 
+def write_embeddings_by_line(stream, ids, matrix):
+    """The embedding file with one ``%.17g`` format per row, each value widened
+    to a Python float: the bytes ``embedding_io.write_embeddings`` must give."""
+    matrix = np.asarray(matrix)
+    stream.write(f"{matrix.shape[0]} {matrix.shape[1]}\n")
+    line = " ".join(["%.17g"] * matrix.shape[1]) + "\n"
+    for name, row in zip(ids, matrix):
+        stream.write(name + " " + line % tuple(row.tolist()))
+
+
 def bce_loss(y, y_hat):
     """Multi-label binary cross-entropy, summed over labels, through the
     package's clamped formula."""

@@ -580,6 +580,30 @@ def test_two_sweeps_into_one_dir_keep_both_manifests(synth_dir, tmp_path):
         assert (tmp_path / f"{stem}.tsv").exists()
 
 
+# A value that fails validation ends the sweep before the manifest and any
+# training, wherever it comes in the list.
+@pytest.mark.parametrize("parameter, values", [("lambda", ["0", "2"]),
+                                               ("label-fraction", ["0.5", "1.5"]),
+                                               ("dim", ["4", "0"])])
+def test_sweep_checks_every_value_before_training(synth_dir, tmp_path, capsys, monkeypatch,
+                                                  parameter, values):
+    trained = []
+    monkeypatch.setattr("edgewalk.cli.train", lambda *args: trained.append(args))
+    out = tmp_path / "sweep"
+    rc = main(["sweep", parameter,
+               str(synth_dir / "graph.edges"), str(synth_dir / "graph.edge_labels"),
+               str(synth_dir / "graph.node_labels"),
+               "--values", *values, "--eval-ratio", "0.3", "--eval-repeats", "1",
+               "--out-dir", str(out), *TINY_TRAIN_FLAGS])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert trained == []
+    stem = "sweep_" + parameter.replace("-", "_")
+    assert not (out / f"{stem}_manifest.json").exists()
+    assert not (out / f"{stem}.tsv").exists()
+
+
 def test_sweep_unknown_parameter(synth_dir, tmp_path, capsys):
     rc = main(["sweep", "momentum",
                str(synth_dir / "graph.edges"), str(synth_dir / "graph.edge_labels"),

@@ -24,6 +24,7 @@ from edgewalk.params import (
 )
 from edgewalk.relational import MlpParams
 
+from helpers import EDGE_VALUES, node_id
 from oracles import accumulate_rows_reference, update_rows_reference
 
 
@@ -361,10 +362,6 @@ def test_checkpoint_truncated(tmp_path):
 
 CENTER = settings(max_examples=100, deadline=None, derandomize=True, database=None,
                   suppress_health_check=[HealthCheck.too_slow])
-# Node ids as the graph loaders make them: no character that str.split() splits on.
-node_id = st.text(st.characters(blacklist_categories=("Z", "C")), min_size=1, max_size=6)
-EDGE_VALUES = {np.float64: [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e300, -1e300],
-               np.float32: [-0.0, 0.0, 1e-45, -1.1754942e-38, 3.4028235e38, -3.4028235e38]}
 
 
 def write_with_checkpoint(directory, ids, center, record_digest=True):

@@ -65,9 +65,15 @@ def _replacing(path: Path):
 
 
 def _write_manifest(path: Path, command: str, config_dict: dict, inputs: dict,
-                    digests: dict | None = None, **fields) -> None:
+                    digests: dict | None = None, outputs: tuple[str, ...] = (),
+                    **fields) -> None:
     """``inputs`` maps names to paths or None; ``digests`` holds sha256 digests
-    the caller already took, by input name; ``fields`` are added as they are."""
+    the caller already took, by input name; ``fields`` are added as they are. The regular
+    files named in ``outputs`` go first, so that a killed run leaves no older outputs beside
+    its manifest; ``_replacing`` writes through symlinks, FIFOs and devices, which stay."""
+    for stale in (path.with_name(name) for name in outputs):
+        if stale.is_file() and not stale.is_symlink():
+            stale.unlink()
     digests = digests or {}
     manifest = {
         "tool": "edgewalk",
@@ -145,7 +151,8 @@ def cmd_train(args: argparse.Namespace) -> int:
             labeled = load_edge_labels(fh, graph)
 
     _write_manifest(out_dir / "manifest.json", "train", config.to_dict(),
-                    {"edges": args.edges, "edge_labels": args.edge_labels})
+                    {"edges": args.edges, "edge_labels": args.edge_labels},
+                    outputs=("embeddings.vec", "checkpoint.bin", "training_report.txt"))
     result = train(graph, labeled, config)
 
     with _replacing(out_dir / "embeddings.vec") as partial:
@@ -207,7 +214,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     _write_manifest(out_dir / "eval_manifest.json", "evaluate",
                     dataclasses.asdict(config) | {"strict": args.strict},
                     {"embeddings": args.embeddings, "node_labels": args.node_labels},
-                    {"embeddings": digest},
+                    {"embeddings": digest}, outputs=("eval_report.txt", "eval_results.tsv"),
                     embeddings_checkpoint=None if checkpoint is None else str(checkpoint))
 
     features, targets = _aligned_eval_inputs(ids, matrix, args.node_labels, args.strict)
@@ -294,7 +301,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                                       "eval_repeats": args.eval_repeats,
                                       "eval_seed": args.eval_seed},
                     {"edges": args.edges, "edge_labels": args.edge_labels,
-                     "node_labels": args.node_labels})
+                     "node_labels": args.node_labels}, outputs=(f"{stem}.tsv",))
 
     series = []
     for value, config, labeled in zip(args.values, configs, labeled_sets):

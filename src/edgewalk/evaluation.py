@@ -1,23 +1,24 @@
 """Multi-label node-classification harness.
 
 Protocol: sample a fraction of the nodes as training data, fit one-vs-rest
-L2-regularized logistic regression on their embeddings, predict labels for
-the remaining nodes, and report Macro-F1. Each node's prediction keeps the
-top-k scoring labels where k is that node's true label count (ties broken
-toward the lower label index), which makes scores comparable across
-methods that produce probabilities on different scales. The split/fit/score
-cycle is repeated with fresh seeded splits and the per-ratio mean and
-standard deviation are reported.
+L2-regularized logistic regression on their embeddings (numpy L-BFGS,
+``minimize``), predict labels for the remaining nodes, and report Macro-F1.
+Each node's prediction keeps the top-k scoring labels where k is that node's
+true label count (ties broken toward the lower label index), which makes
+scores comparable across methods that produce probabilities on different
+scales. The split/fit/score cycle is repeated with fresh seeded splits and
+the per-ratio mean and standard deviation are reported.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from collections import deque
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
-import scipy
 
 from .errors import ConfigError, ValidationError
 
@@ -25,10 +26,77 @@ log = logging.getLogger(__name__)
 
 SOLVER_GRAD_TOL = 1e-6
 SOLVER_MAX_ITER = 1000
+SOLVER_F_TOL = 1e7 * np.finfo(np.float64).eps   # L-BFGS-B's default factr times eps
+MEMORY = 10                                      # correction pairs kept (L-BFGS-B's maxcor)
+C1, C2 = 1e-4, 0.9                               # strong Wolfe constants
+MAX_LINE_EVALS = 20                              # objective evaluations per line search
 
 
-def minimize(*args, **kwargs):  # a name tracing can wrap; loads scipy.optimize on first fit
-    return scipy.optimize.minimize(*args, **kwargs)
+def _cubic_min(a, fa, da, b, fb, db):
+    """Minimizer of the cubic with values and slopes at steps a and b, or nan."""
+    d1 = da + db - 3.0 * (fa - fb) / (a - b) if a != b else math.nan
+    disc = d1 * d1 - da * db
+    if not disc >= 0.0:
+        return math.nan
+    d2 = math.copysign(math.sqrt(disc), b - a)
+    den = db - da + 2.0 * d2
+    return b - (b - a) * (db + d2 - d1) / den if den else math.nan
+
+
+def minimize(fun, x0, args=(), gtol=SOLVER_GRAD_TOL, maxiter=SOLVER_MAX_ITER):
+    """L-BFGS (Liu & Nocedal 1989) of ``fun(x, *args) -> (value, gradient)``.
+
+    Two-loop directions over the last ``MEMORY`` pairs, scaled by s'y / y'y. A strong
+    Wolfe search (first trial 1 / ||g|| on iteration 0, else 1) extrapolates until a
+    bracket [lo, hi] holds a minimum, then shrinks it by cubic interpolation, bisecting
+    when it shrinks slowly (Nocedal & Wright, Alg. 3.5/3.6; Moré & Thuente's safeguard).
+    Stops as L-BFGS-B does: max |g_i| <= gtol, a relative decrease <= ``SOLVER_F_TOL``,
+    or ``maxiter`` iterations. Returns ``x``, its value ``fun`` and the count ``nit``."""
+    x, pairs, nit = np.array(x0, dtype=np.float64), deque(maxlen=MEMORY), 0
+    f, g = fun(x, *args)
+    while nit < maxiter and np.abs(g).max() > gtol:
+        d, alphas = -g, []
+        for s, y, rho in reversed(pairs):
+            alphas.append(rho * (s @ d))
+            d -= alphas[-1] * y
+        d *= 1.0 / (pairs[-1][2] * (pairs[-1][1] @ pairs[-1][1])) if pairs else 1.0
+        for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+            d += (alpha - rho * (y @ d)) * s
+        slope = float(g @ d)
+        if not slope < 0:                     # not a descent direction: restart
+            pairs.clear()
+            d, slope = -g, -float(g @ g)
+        step = 1.0 if nit else 1.0 / math.sqrt(-slope)
+        lo, hi, widths = (0.0, float(f), slope), None, [math.inf, math.inf]
+        for _ in range(MAX_LINE_EVALS):
+            f_new, g_new = fun(x + step * d, *args)
+            trial = (step, float(f_new), float(g_new @ d))
+            if not trial[1] <= f + C1 * step * slope or trial[1] >= lo[1]:
+                hi = trial
+            elif abs(trial[2]) <= -C2 * slope:
+                break
+            else:
+                if trial[2] * ((math.inf if hi is None else hi[0]) - step) >= 0:
+                    hi = lo
+                prev, lo = lo, trial
+            if hi is None:                    # extrapolate by 1.1 to 4 times the last gain
+                gain = step - prev[0]
+                step = max(step + 1.1 * gain, min(step + 4.0 * gain, _cubic_min(*prev, *lo)))
+            else:
+                a, b = sorted((lo[0], hi[0]))
+                step = _cubic_min(*lo, *hi)
+                if not a < step < b or b - a > 0.66 * widths[-2]:
+                    step = (a + b) / 2
+                widths.append(b - a)
+        else:
+            break                             # no step found; x is the best point seen
+        s, y = trial[0] * d, g_new - g
+        if s @ y > -np.finfo(np.float64).eps * trial[0] * slope:
+            pairs.append((s, y, 1.0 / (s @ y)))
+        f_old, x, f, g, nit = f, x + s, trial[1], g_new, nit + 1
+        if f_old - f <= SOLVER_F_TOL * max(abs(f_old), abs(f), 1.0):
+            break
+    return SimpleNamespace(x=x, fun=f, nit=nit)
 
 
 @dataclass
@@ -72,12 +140,13 @@ class OvrClassifier:
 def _logreg_objective(theta, x, sign, l2):
     """Objective and gradient of sum log(1 + exp(-sign * (x.w + b))) + l2/2 ||w||^2.
 
-    The bias (last coordinate) is not regularized.
+    The bias (last coordinate) is not regularized. exp(-z - loss) = expit(-z) cannot overflow.
     """
     w, b = theta[:-1], theta[-1]
     z = sign * (x @ w + b)
-    value = np.logaddexp(0.0, -z).sum() + 0.5 * l2 * (w @ w)
-    coef = -sign * scipy.special.expit(-z)
+    loss = np.logaddexp(0.0, -z)
+    value = loss.sum() + 0.5 * l2 * (w @ w)
+    coef = -sign * np.exp(-z - loss)
     grad = np.empty_like(theta)
     grad[:-1] = x.T @ coef + l2 * w
     grad[-1] = coef.sum()
@@ -88,16 +157,13 @@ def fit_binary_logreg(features: np.ndarray, positive: np.ndarray, l2_strength: f
                       max_iter: int = SOLVER_MAX_ITER) -> tuple[np.ndarray, float]:
     """L-BFGS solve of one binary L2-regularized logistic regression.
 
-    Returns (weights, bias). The problem is convex, so the stopping rule is
-    a projected-gradient tolerance plus an iteration cap.
+    Returns (weights, bias). The problem is convex; ``minimize`` stops on a
+    gradient tolerance, a relative decrease tolerance or the iteration cap.
     """
     x = np.asarray(features, dtype=np.float64)
     sign = np.where(positive, 1.0, -1.0)
-    theta0 = np.zeros(x.shape[1] + 1)
-    res = minimize(_logreg_objective, theta0, args=(x, sign, l2_strength),
-                   jac=True, method="L-BFGS-B",
-                   options={"gtol": SOLVER_GRAD_TOL, "maxiter": max_iter,
-                            "maxfun": 20 * max_iter})
+    res = minimize(_logreg_objective, np.zeros(x.shape[1] + 1), args=(x, sign, l2_strength),
+                   maxiter=max_iter)
     return res.x[:-1], float(res.x[-1])
 
 

@@ -53,12 +53,10 @@ def compose_batch(edges: np.ndarray, tables: EmbeddingTables) -> tuple[np.ndarra
 def mlp_forward(x: np.ndarray, params: MlpParams) -> tuple[np.ndarray, list[np.ndarray]]:
     """Forward pass; returns per-label probabilities and cached activations.
 
-    ``x`` may be one vector or an (N, input_dim) batch. The cache holds the
-    input of every layer (post-activation), for the backward pass.
+    ``x`` is an (N, input_dim) batch. The cache holds the input of every
+    layer (post-activation), for the backward pass.
     """
-    single = x.ndim == 1
-    h = np.atleast_2d(x)
-    cache = [h]
+    h, cache = x, [x]
     depth = len(params.weights)
     for k, (w, b) in enumerate(zip(params.weights, params.biases)):
         z = h @ w.T + b
@@ -66,8 +64,7 @@ def mlp_forward(x: np.ndarray, params: MlpParams) -> tuple[np.ndarray, list[np.n
             raise NumericsError(f"non-finite activation at classifier layer {k}")
         h = scipy.special.expit(z) if k == depth - 1 else np.maximum(z, 0.0)
         cache.append(h)
-    y_hat = cache[-1]
-    return (y_hat[0] if single else y_hat), cache
+    return h, cache
 
 
 def _clamped_bce(y: np.ndarray, y_hat: np.ndarray) -> np.ndarray:

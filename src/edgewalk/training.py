@@ -156,10 +156,9 @@ class EarlyStopTracker:
 def schedule_counts(batches_per_round: int, lambda_: float) -> tuple[int, int]:
     """Split a round's batch budget; structural gets the (1 - lambda) share.
 
-    Rounds half up, remainder to the relational side.
+    Rounds half up, remainder to the relational side. ``batches_per_round``
+    is at least 1, as ``TrainConfig.validate`` checks.
     """
-    if batches_per_round < 1:
-        raise ConfigError(f"batches_per_round must be >= 1, got {batches_per_round}")
     n_structural = math.floor((1.0 - lambda_) * batches_per_round + 0.5)
     return n_structural, batches_per_round - n_structural
 

@@ -44,6 +44,9 @@ RUNS = [
     *(f"train {DESK} {flags} --out-dir {name}" for name, flags in DESK_RUNS.items()),
     *(f"evaluate {name}/embeddings.vec desk/graph.node_labels --out-dir {name}"
       for name in DESK_RUNS),
+    # The solver's unregularized path on normalized features.
+    "evaluate desk-0.8/embeddings.vec desk/graph.node_labels --normalize --l2-strength 0 "
+    "--out-dir desk-0.8-normalized",
     # The benchmark's mid-joint train flags.
     "train mid/graph.edges mid/graph.edge_labels --walks-per-node 40 --max-rounds 3 --seed 7 "
     "--out-dir mid-joint",

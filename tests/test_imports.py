@@ -1,9 +1,12 @@
 """Each command loads only the scipy submodules it calls into.
 
 The package binds plain ``import scipy`` and names each function at its call
-site, so scipy loads ``special``, ``sparse`` and ``optimize`` on first use.
-Each case runs in a fresh interpreter, because this test process has long
-since loaded all of them.
+site, so scipy loads a submodule on first use. ``train`` and ``sweep`` load
+``scipy.special`` (the sigmoids of the skip-gram and classifier losses) and
+``scipy.sparse`` (the row sums of ``params.accumulate_rows``). ``evaluate``,
+``synth`` and ``walk`` load none of the three below: the evaluation solver is
+numpy. Each case runs in a fresh interpreter, because this test process has
+long since loaded all of them.
 """
 
 import ast
@@ -28,11 +31,19 @@ print(" ".join(m for m in {DEFERRED!r} if m in sys.modules))
 """
 
 
+TRAIN = ["train", "g/graph.edges", "g/graph.edge_labels", "--lambda", "0.8", "--dim", "4",
+         "--hidden", "4", "--walks-per-node", "1", "--walk-length", "3", "--window", "1",
+         "--structural-batch", "8", "--relational-batch", "8", "--batches-per-round", "2",
+         "--max-rounds", "1", "--validation-fraction", "0"]
+
+
 @pytest.fixture(scope="module")
 def data(tmp_path_factory):
     out = tmp_path_factory.mktemp("imports")
     assert main(["synth", "--communities", "2", "--community-size", "6", "--p-in", "0.6",
                  "--label-fraction", "0.5", "--seed", "2", "--out-dir", str(out / "g")]) == 0
+    assert main([str(out / a) if a.startswith("g/") else a for a in TRAIN]
+                + ["--out-dir", str(out / "run")]) == 0
     return out
 
 
@@ -51,12 +62,10 @@ def loaded_after(argv, cwd):
       "--out", "walks.txt"], DEFERRED),
     (["synth", "--communities", "2", "--community-size", "6", "--p-in", "0.6", "--out-dir", "s"],
      DEFERRED),
-    (["train", "g/graph.edges", "g/graph.edge_labels", "--lambda", "0.8", "--dim", "4",
-      "--hidden", "4", "--walks-per-node", "1", "--walk-length", "3", "--window", "1",
-      "--structural-batch", "8", "--relational-batch", "8", "--batches-per-round", "2",
-      "--max-rounds", "1", "--validation-fraction", "0", "--out-dir", "t"],
-     ("scipy.optimize",)),
-], ids=["import", "walk", "synth", "train"])
+    ([*TRAIN, "--out-dir", "t"], ("scipy.optimize",)),
+    (["evaluate", "run/embeddings.vec", "g/graph.node_labels", "--ratios", "0.5",
+      "--repeats", "2", "--out-dir", "e"], DEFERRED),
+], ids=["import", "walk", "synth", "train", "evaluate"])
 def test_command_loads_only_the_scipy_it_uses(data, argv, not_loaded):
     assert not loaded_after(argv, data) & set(not_loaded)
 

@@ -6,6 +6,7 @@ import stat
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -360,18 +361,19 @@ def test_evaluate_rerun_identical(embedding_files, tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
-def test_failed_evaluate_write_keeps_previous_results(embedding_files, tmp_path, capsys,
-                                                     monkeypatch):
+def test_failed_evaluate_write_leaves_nothing_under_final_name(embedding_files, tmp_path,
+                                                              capsys, monkeypatch):
+    # The previous run's results go before the new manifest is written, so
+    # neither they nor a partial file stand beside it.
     vec, nl = embedding_files
     argv = ["evaluate", str(vec), str(nl), "--ratios", "0.5", "--repeats", "2",
             "--out-dir", str(tmp_path / "eval")]
     assert main(argv) == 0
-    before = (tmp_path / "eval" / "eval_results.tsv").read_bytes()
     monkeypatch.setattr("edgewalk.evaluation.EvalReport.write_tsv",
                         lambda self, stream: fail_mid_write(stream))
     assert main(argv) == 2
     assert "error: No space left on device" in capsys.readouterr().err
-    assert (tmp_path / "eval" / "eval_results.tsv").read_bytes() == before
+    assert not (tmp_path / "eval" / "eval_results.tsv").exists()
     assert not list((tmp_path / "eval").glob("*.tmp"))
 
 
@@ -523,6 +525,77 @@ def test_train_through_symlinked_embeddings(synth_dir, tmp_path, target):
                                  tmp_path / "eval")
     assert rc == 0 and got == want
     assert manifest["embeddings_checkpoint"] == str(run / "checkpoint.bin")
+
+
+# a killed run --------------------------------------------------------------------
+# Each command removes the regular files it is about to write before it writes
+# its manifest, so a run killed in between leaves its manifest and nothing else.
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def kill_after_manifest(argv, manifest, seed):
+    """Run ``edgewalk argv`` in a child process and SIGKILL it once ``manifest``
+    records ``seed``, i.e. while it works."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-m", "edgewalk", *argv], env=env,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    try:
+        deadline = time.monotonic() + 120
+        while True:
+            try:
+                if json.loads(manifest.read_text())["config"]["seed"] == seed:
+                    break
+            except (OSError, ValueError, KeyError):
+                pass  # not written yet, or written in part
+            assert proc.poll() is None, f"ended before the kill: {proc.stderr.read()}"
+            assert time.monotonic() < deadline, "no manifest"
+            time.sleep(0.005)
+    finally:
+        proc.kill()
+        proc.communicate()
+    assert proc.returncode == -9
+
+
+def test_killed_train_leaves_only_its_manifest(synth_dir, tmp_path, capsys):
+    run = tmp_path / "run"
+    assert run_train(synth_dir, run) == 0
+    kill_after_manifest(["train", str(synth_dir / "graph.edges"),
+                         str(synth_dir / "graph.edge_labels"), "--out-dir", str(run),
+                         *TINY_TRAIN_FLAGS, "--batches-per-round", "1000000", "--seed", "6"],
+                        run / "manifest.json", 6)
+    assert [p.name for p in run.iterdir()] == ["manifest.json"]
+    rc = main(["evaluate", str(run / "embeddings.vec"), str(synth_dir / "graph.node_labels"),
+               "--out-dir", str(tmp_path / "eval")])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("error:") and err.count("\n") == 1
+
+
+def test_killed_evaluate_leaves_only_its_manifest(embedding_files, tmp_path):
+    vec, nl = embedding_files
+    out = tmp_path / "eval"
+    assert main(["evaluate", str(vec), str(nl), "--ratios", "0.5", "--repeats", "2",
+                 "--out-dir", str(out)]) == 0
+    kill_after_manifest(["evaluate", str(vec), str(nl), "--repeats", "1000000", "--seed", "9",
+                         "--out-dir", str(out)], out / "eval_manifest.json", 9)
+    assert [p.name for p in out.iterdir()] == ["eval_manifest.json"]
+
+
+def test_failed_sweep_leaves_no_earlier_series(synth_dir, tmp_path, capsys, monkeypatch):
+    argv = ["sweep", "lambda", str(synth_dir / "graph.edges"),
+            str(synth_dir / "graph.edge_labels"), str(synth_dir / "graph.node_labels"),
+            "--values", "0", "--eval-ratio", "0.3", "--eval-repeats", "1",
+            "--out-dir", str(tmp_path), *TINY_TRAIN_FLAGS]
+    assert main(argv) == 0
+
+    def killed(*args):
+        raise OSError("killed")
+
+    monkeypatch.setattr("edgewalk.cli.train", killed)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: killed\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["sweep_lambda_manifest.json"]
 
 
 # sweep --------------------------------------------------------------------------

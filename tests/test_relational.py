@@ -76,22 +76,22 @@ def test_compose_length_default_dim():
 def test_zero_mlp_outputs_half():
     mlp = MlpParams(weights=[np.zeros((4, 6)), np.zeros((3, 4))],
                     biases=[np.zeros(4), np.zeros(3)])
-    y, _ = mlp_forward(np.zeros(6), mlp)
+    y, _ = mlp_forward(np.zeros((1, 6)), mlp)
     np.testing.assert_allclose(y, 0.5)
 
 
 def test_relu_kills_negative_input():
     mlp = MlpParams(weights=[np.array([[1.0]]), np.array([[1.0]])],
                     biases=[np.zeros(1), np.zeros(1)])
-    y, _ = mlp_forward(np.array([-3.0]), mlp)
-    assert y[0] == pytest.approx(0.5)
+    y, _ = mlp_forward(np.array([[-3.0]]), mlp)
+    assert y[0, 0] == pytest.approx(0.5)
 
 
 def test_forward_output_in_open_interval():
     rng = np.random.default_rng(1)
     mlp = init_mlp(6, 5, 4, rng)
     for _ in range(20):
-        y, _ = mlp_forward(rng.normal(size=6), mlp)
+        y, _ = mlp_forward(rng.normal(size=(1, 6)), mlp)
         assert ((y > 0) & (y < 1)).all()
 
 
@@ -204,7 +204,7 @@ def test_non_finite_activation_aborts():
     mlp = MlpParams(weights=[np.full((2, 2), np.inf), np.ones((1, 2))],
                     biases=[np.zeros(2), np.zeros(1)])
     with pytest.raises(NumericsError, match="layer 0"):
-        mlp_forward(np.ones(2), mlp)
+        mlp_forward(np.ones((1, 2)), mlp)
 
 
 def test_overfit_ten_disjoint_edges():

@@ -28,7 +28,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import ConfigError, EdgewalkError, ParseError
-from .evaluation import EvalConfig, node_classification_experiment
+from .evaluation import EvalConfig, check_splits, node_classification_experiment
 from .graph import load_edge_labels, load_edge_list, load_node_labels, split_labeled_edges
 from .params import config_hash, load_center, save_checkpoint
 from .synth import generate_planted_partition, write_dataset
@@ -207,17 +207,18 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     config.validate()
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     digest = _sha256(Path(args.embeddings))
     ids, matrix, checkpoint = _embedding_table(Path(args.embeddings), digest)
+    features, targets = _aligned_eval_inputs(ids, matrix, args.node_labels, args.strict)
+    check_splits(len(targets), config.train_ratios)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_manifest(out_dir / "eval_manifest.json", "evaluate",
                     dataclasses.asdict(config) | {"strict": args.strict},
                     {"embeddings": args.embeddings, "node_labels": args.node_labels},
                     {"embeddings": digest}, outputs=("eval_report.txt", "eval_results.tsv"),
                     embeddings_checkpoint=None if checkpoint is None else str(checkpoint))
 
-    features, targets = _aligned_eval_inputs(ids, matrix, args.node_labels, args.strict)
     report = node_classification_experiment(features, targets, config)
     table = report.format_table()
     sys.stdout.write(table)
@@ -285,6 +286,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for name in skipped:
         log.warning("node %r has labels but is not in the graph; excluded", name)
     # Every value is checked before any output, so a bad one writes nothing.
+    check_splits(node_label_set.num_labeled, eval_config.train_ratios)
     if args.parameter == "label-fraction":
         labeled_sets = [split_labeled_edges(full_labels, float(value), base.seed)[0]
                         for value in args.values]

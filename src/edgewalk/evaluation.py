@@ -1,8 +1,9 @@
 """Multi-label node-classification harness.
 
 Protocol: sample a fraction of the nodes as training data, fit one-vs-rest
-L2-regularized logistic regression on their embeddings (numpy L-BFGS,
-``minimize``), predict labels for the remaining nodes, and report Macro-F1.
+L2-regularized logistic regression on their embeddings (numpy L-BFGS over all
+labels of a split at once, ``minimize``), predict labels for the remaining
+nodes, and report Macro-F1.
 Each node's prediction keeps the top-k scoring labels where k is that node's
 true label count (ties broken toward the lower label index), which makes
 scores comparable across methods that produce probabilities on different
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import logging
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -43,60 +43,124 @@ def _cubic_min(a, fa, da, b, fb, db):
     return b - (b - a) * (db + d2 - d1) / den if den else math.nan
 
 
-def minimize(fun, x0, args=(), gtol=SOLVER_GRAD_TOL, maxiter=SOLVER_MAX_ITER):
-    """L-BFGS (Liu & Nocedal 1989) of ``fun(x, *args) -> (value, gradient)``.
-
-    Two-loop directions over the last ``MEMORY`` pairs, scaled by s'y / y'y. A strong
-    Wolfe search (first trial 1 / ||g|| on iteration 0, else 1) extrapolates until a
-    bracket [lo, hi] holds a minimum, then shrinks it by cubic interpolation, bisecting
-    when it shrinks slowly (Nocedal & Wright, Alg. 3.5/3.6; Moré & Thuente's safeguard).
-    Stops as L-BFGS-B does: max |g_i| <= gtol, a relative decrease <= ``SOLVER_F_TOL``,
-    or ``maxiter`` iterations. Returns ``x``, its value ``fun`` and the count ``nit``."""
-    x, pairs, nit = np.array(x0, dtype=np.float64), deque(maxlen=MEMORY), 0
-    f, g = fun(x, *args)
-    while nit < maxiter and np.abs(g).max() > gtol:
-        d, alphas = -g, []
-        for s, y, rho in reversed(pairs):
-            alphas.append(rho * (s @ d))
-            d -= alphas[-1] * y
-        d *= 1.0 / (pairs[-1][2] * (pairs[-1][1] @ pairs[-1][1])) if pairs else 1.0
-        for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
-            d += (alpha - rho * (y @ d)) * s
-        slope = float(g @ d)
-        if not slope < 0:                     # not a descent direction: restart
-            pairs.clear()
-            d, slope = -g, -float(g @ g)
-        step = 1.0 if nit else 1.0 / math.sqrt(-slope)
-        lo, hi, widths = (0.0, float(f), slope), None, [math.inf, math.inf]
-        for _ in range(MAX_LINE_EVALS):
-            f_new, g_new = fun(x + step * d, *args)
-            trial = (step, float(f_new), float(g_new @ d))
-            if not trial[1] <= f + C1 * step * slope or trial[1] >= lo[1]:
-                hi = trial
-            elif abs(trial[2]) <= -C2 * slope:
-                break
-            else:
-                if trial[2] * ((math.inf if hi is None else hi[0]) - step) >= 0:
-                    hi = lo
-                prev, lo = lo, trial
-            if hi is None:                    # extrapolate by 1.1 to 4 times the last gain
-                gain = step - prev[0]
-                step = max(step + 1.1 * gain, min(step + 4.0 * gain, _cubic_min(*prev, *lo)))
-            else:
-                a, b = sorted((lo[0], hi[0]))
-                step = _cubic_min(*lo, *hi)
-                if not a < step < b or b - a > 0.66 * widths[-2]:
-                    step = (a + b) / 2
-                widths.append(b - a)
+def _line_search(f, slope, step):
+    """Strong Wolfe search of one row from value ``f`` and ``slope`` at step 0: yields each
+    trial step, is sent the value and slope there, returns the accepted step or None. It
+    extrapolates until a bracket [lo, hi] holds a minimum, then shrinks it by cubic
+    interpolation, bisecting when it shrinks slowly (Nocedal & Wright, Alg. 3.5/3.6)."""
+    lo, hi, widths = (0.0, f, slope), None, [math.inf, math.inf]
+    for _ in range(MAX_LINE_EVALS):
+        trial = (step, *(yield step))
+        if not trial[1] <= f + C1 * step * slope or trial[1] >= lo[1]:
+            hi = trial
+        elif abs(trial[2]) <= -C2 * slope:
+            return step
         else:
-            break                             # no step found; x is the best point seen
-        s, y = trial[0] * d, g_new - g
-        if s @ y > -np.finfo(np.float64).eps * trial[0] * slope:
-            pairs.append((s, y, 1.0 / (s @ y)))
-        f_old, x, f, g, nit = f, x + s, trial[1], g_new, nit + 1
-        if f_old - f <= SOLVER_F_TOL * max(abs(f_old), abs(f), 1.0):
+            if trial[2] * ((math.inf if hi is None else hi[0]) - step) >= 0:
+                hi = lo
+            prev, lo = lo, trial
+        if hi is None:                        # extrapolate by 1.1 to 4 times the last gain
+            gain = step - prev[0]
+            step = max(step + 1.1 * gain, min(step + 4.0 * gain, _cubic_min(*prev, *lo)))
+        else:
+            a, b = sorted((lo[0], hi[0]))
+            step = _cubic_min(*lo, *hi)
+            if not a < step < b or b - a > 0.66 * widths[-2]:
+                step = (a + b) / 2
+            widths.append(b - a)
+    return None
+
+
+def _dot(a, b):
+    """Dot products of the last axes of ``a`` and ``b``: stacked ``np.matmul`` runs, per row,
+    the BLAS dot that ``a[i] @ b[i]`` runs, so each row gets the bits it gets alone."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def _direction(g, s_mem, y_mem, rho, count):
+    """-H g for each row, by the two-loop recursion over its ``count`` newest pairs
+    (newest first in ``s_mem``/``y_mem``), H scaled by s'y / y'y of the newest pair."""
+    counts = count.tolist()
+    lanes = [slice(None) if j < min(counts) else np.flatnonzero(count > j)
+             for j in range(max(counts))]           # lanes[j]: the rows that hold pair j
+    d, alphas = -g, []
+    for j, r in enumerate(lanes):
+        alphas.append(rho[r, j] * _dot(s_mem[r, j], d[r]))
+        d[r] -= alphas[j][:, None] * y_mem[r, j]
+    if lanes:
+        r = lanes[0]
+        d[r] *= (1.0 / (rho[r, 0] * _dot(y_mem[r, 0], y_mem[r, 0])))[:, None]
+    for j, r in reversed(list(enumerate(lanes))):
+        d[r] += (alphas[j] - rho[r, j] * _dot(y_mem[r, j], d[r]))[:, None] * s_mem[r, j]
+    return d
+
+
+def minimize(fun, x0, gtol=SOLVER_GRAD_TOL, maxiter=SOLVER_MAX_ITER):
+    """L-BFGS (Liu & Nocedal 1989) of every row of the (B, D) ``x0``, in lockstep.
+
+    ``fun(x, rows)`` gives the values and gradients of problems ``rows`` (of ``x0``) at
+    iterates ``x``; one call covers every row still searching. Each row takes its own
+    directions (over its last ``MEMORY`` pairs), line search (first trial 1 / ||g|| on
+    iteration 0, else 1) and stops, in the order it takes them alone, so it gets the
+    bits it gets alone when ``fun`` computes rows apart. A row stops as L-BFGS-B does
+    (max |g_i| <= gtol, a relative decrease <= ``SOLVER_F_TOL``, ``maxiter``
+    iterations) or when its line search fails. Returns ``x`` (B, D), ``fun`` (B,), the
+    iteration counts ``nits`` (B,) and their total ``nit``, a Python int."""
+    x = np.array(x0, dtype=np.float64)
+    rows = np.arange(len(x))
+    f, g = fun(x, rows)
+    res = SimpleNamespace(x=np.empty_like(x), fun=np.empty(len(x)), nits=np.zeros(len(x), int))
+    nit, count = np.zeros(len(x), int), np.zeros(len(x), int)
+    (s_mem, y_mem), rho = np.zeros((2, len(x), MEMORY, x.shape[1])), np.zeros((len(x), MEMORY))
+    go = (nit < maxiter) & (np.abs(g).max(axis=1) > gtol)
+    while True:
+        if not go.all():
+            out = rows[~go]
+            res.x[out], res.fun[out], res.nits[out] = x[~go], f[~go], nit[~go]
+            rows, x, f, g, nit, count, s_mem, y_mem, rho = (
+                a[go] for a in (rows, x, f, g, nit, count, s_mem, y_mem, rho))
+        if not len(rows):
             break
-    return SimpleNamespace(x=x, fun=f, nit=nit)
+        d = _direction(g, s_mem, y_mem, rho, count)
+        slope = _dot(g, d)
+        if not (slope < 0).all():                   # not a descent direction: restart
+            restart = ~(slope < 0)
+            count[restart], d[restart] = 0, -g[restart]
+            slope[restart] = -_dot(g[restart], g[restart])
+        searches = [_line_search(fi, sl, 1.0 if n else 1.0 / math.sqrt(-sl))
+                    for fi, sl, n in zip(f.tolist(), slope.tolist(), nit.tolist())]
+        step = np.array([next(search) for search in searches])
+        f_new, g_new, found = np.empty_like(f), np.empty_like(g), np.zeros(len(rows), bool)
+        live = np.arange(len(rows))
+        while len(live):
+            at = live if len(live) < len(rows) else slice(None)
+            f_new[at], g_new[at] = fun(x[at] + step[at, None] * d[at], rows[at])
+            searching = []
+            for i, value, slope_i in zip(live.tolist(), f_new[at].tolist(),
+                                         _dot(g_new[at], d[at]).tolist()):
+                try:
+                    step[i] = searches[i].send((value, slope_i))
+                    searching.append(i)
+                except StopIteration as stop:
+                    found[i] = stop.value is not None
+            live = np.array(searching, dtype=int)
+        if not found.all():                         # no step: these rows stop where they are
+            stay = ~found
+            step[stay], f_new[stay], g_new[stay] = 0.0, f[stay], g[stay]
+        s, y = step[:, None] * d, g_new - g
+        sy = _dot(s, y)
+        new = sy > -np.finfo(np.float64).eps * step * slope
+        kept = slice(None) if new.all() else np.flatnonzero(new)   # newest pair goes first
+        s_mem[kept, 1:], y_mem[kept, 1:], rho[kept, 1:] = (
+            s_mem[kept, :-1], y_mem[kept, :-1], rho[kept, :-1])
+        s_mem[kept, 0], y_mem[kept, 0], rho[kept, 0] = s[kept], y[kept], 1.0 / sy[kept]
+        count[kept] = np.minimum(count[kept] + 1, MEMORY)
+        f_old, x, f, g, nit = f, np.where(found[:, None], x + s, x), f_new, g_new, nit + found
+        scale = np.maximum(np.maximum(abs(f_old), abs(f)), 1.0)
+        go = (found & ~(f_old - f <= SOLVER_F_TOL * scale) & (nit < maxiter)
+              & (np.abs(g).max(axis=1) > gtol))
+    res.nit = int(res.nits.sum())
+    return res
 
 
 @dataclass
@@ -138,38 +202,42 @@ class OvrClassifier:
 
 
 def _logreg_objective(theta, x, sign, l2):
-    """Objective and gradient of sum log(1 + exp(-sign * (x.w + b))) + l2/2 ||w||^2.
+    """Objective and gradient of sum log(1 + exp(-sign * (x.w + b))) + l2/2 ||w||^2 for each
+    row of ``theta`` (B, F + 1) and ``sign`` (B, N), or for one vector of each.
 
     The bias (last coordinate) is not regularized. exp(-z - loss) = expit(-z) cannot overflow.
+    Stacked ``np.matmul`` and ``_dot`` give each row the bits it gets alone; ``x @ w.T``
+    would not.
     """
-    w, b = theta[:-1], theta[-1]
-    z = sign * (x @ w + b)
+    w, b = theta[..., :-1], theta[..., -1:]
+    z = sign * (np.matmul(x, w[..., None])[..., 0] + b)
     loss = np.logaddexp(0.0, -z)
-    value = loss.sum() + 0.5 * l2 * (w @ w)
+    value = loss.sum(axis=-1) + 0.5 * l2 * _dot(w, w)
     coef = -sign * np.exp(-z - loss)
     grad = np.empty_like(theta)
-    grad[:-1] = x.T @ coef + l2 * w
-    grad[-1] = coef.sum()
+    grad[..., :-1] = np.matmul(x.T, coef[..., None])[..., 0] + l2 * w
+    grad[..., -1] = coef.sum(axis=-1)
     return value, grad
 
 
 def fit_binary_logreg(features: np.ndarray, positive: np.ndarray, l2_strength: float,
-                      max_iter: int = SOLVER_MAX_ITER) -> tuple[np.ndarray, float]:
-    """L-BFGS solve of one binary L2-regularized logistic regression.
+                      max_iter: int = SOLVER_MAX_ITER) -> tuple[np.ndarray, np.ndarray]:
+    """L-BFGS solves of binary L2-regularized logistic regressions, one per column of the
+    (N, B) bool ``positive`` (a vector is one column), all in one lockstep ``minimize``.
 
-    Returns (weights, bias). The problem is convex; ``minimize`` stops on a
-    gradient tolerance, a relative decrease tolerance or the iteration cap.
+    Returns (weights (B, F), biases (B,)). Each problem is convex; ``minimize`` stops it
+    on a gradient tolerance, a relative decrease tolerance or the iteration cap.
     """
     x = np.asarray(features, dtype=np.float64)
-    sign = np.where(positive, 1.0, -1.0)
-    res = minimize(_logreg_objective, np.zeros(x.shape[1] + 1), args=(x, sign, l2_strength),
-                   maxiter=max_iter)
-    return res.x[:-1], float(res.x[-1])
+    sign = np.where(np.atleast_2d(np.transpose(positive)), 1.0, -1.0)
+    res = minimize(lambda theta, rows: _logreg_objective(theta, x, sign[rows], l2_strength),
+                   np.zeros((len(sign), x.shape[1] + 1)), maxiter=max_iter)
+    return res.x[:, :-1], res.x[:, -1]
 
 
 def train_ovr_logreg(features: np.ndarray, targets: np.ndarray,
                      l2_strength: float = 1.0) -> OvrClassifier:
-    """Fit one binary classifier per column of the (N, L) bool ``targets``.
+    """Fit one binary classifier per column of the (N, L) bool ``targets``, all together.
 
     Labels with no positive or no negative training example cannot be fit;
     they are skipped with a warning and recorded on the classifier.
@@ -178,20 +246,15 @@ def train_ovr_logreg(features: np.ndarray, targets: np.ndarray,
     n, num_labels = targets.shape
     if x.shape[0] != n:
         raise ValidationError(f"{x.shape[0]} feature rows for {n} label rows")
+    positives = targets.sum(axis=0)
+    trained = (positives > 0) & (positives < n)
+    skipped = np.flatnonzero(~trained).tolist()
+    for lab in skipped:
+        log.warning("label %d skipped: %s training examples", lab,
+                    "no positive" if positives[lab] == 0 else "no negative")
     weights = np.zeros((num_labels, x.shape[1]))
     biases = np.zeros(num_labels)
-    trained = np.zeros(num_labels, dtype=bool)
-    skipped = []
-    for lab in range(num_labels):
-        positive = targets[:, lab]
-        pos = int(positive.sum())
-        if pos == 0 or pos == n:
-            skipped.append(lab)
-            log.warning("label %d skipped: %s training examples", lab,
-                        "no positive" if pos == 0 else "no negative")
-            continue
-        weights[lab], biases[lab] = fit_binary_logreg(x, positive, l2_strength)
-        trained[lab] = True
+    weights[trained], biases[trained] = fit_binary_logreg(x, targets[:, trained], l2_strength)
     return OvrClassifier(weights=weights, biases=biases, trained=trained, skipped_labels=skipped)
 
 
@@ -251,11 +314,18 @@ class EvalReport:
                 stream.write(f"{ratio:.17g}\t{j}\t{score:.17g}\n")
 
 
+def check_splits(n: int, ratios) -> None:
+    """Raise ConfigError unless every ratio's ceil(ratio * n) training nodes leave both sides
+    of an ``n``-node split non-empty."""
+    for ratio in ratios:
+        if not 0 < math.ceil(ratio * n) < n:
+            raise ConfigError(f"ratio {ratio} leaves an empty train or test set for {n} nodes")
+
+
 def split_nodes(n: int, ratio: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Disjoint (train, test) index split with ceil(ratio * n) training nodes."""
+    check_splits(n, (ratio,))
     n_train = math.ceil(ratio * n)
-    if n_train == 0 or n_train >= n:
-        raise ConfigError(f"ratio {ratio} leaves an empty train or test set for {n} nodes")
     perm = rng.permutation(n)
     return perm[:n_train], perm[n_train:]
 
@@ -267,8 +337,9 @@ def node_classification_experiment(features: np.ndarray, targets: np.ndarray,
     ``targets`` is the bool (N, L) multi-hot label matrix of the N feature rows.
     """
     config.validate()
-    x = np.asarray(features, dtype=np.float64)
     n = len(targets)
+    check_splits(n, config.train_ratios)
+    x = np.asarray(features, dtype=np.float64)
     if x.shape[0] != n:
         raise ValidationError(f"{x.shape[0]} feature rows for {n} label rows")
     if not targets.any(axis=1).all():

@@ -4,9 +4,15 @@ These stay deliberately naive (elementwise loops, textbook formulas) so
 they check the vectorized implementations from outside.
 """
 
+import math
+from collections import deque
+from types import SimpleNamespace
+
 import numpy as np
 
 from edgewalk.errors import ConfigError, NumericsError, ParseError, ValidationError
+from edgewalk.evaluation import (C1, C2, MAX_LINE_EVALS, MEMORY, SOLVER_F_TOL, SOLVER_GRAD_TOL,
+                                 SOLVER_MAX_ITER, _cubic_min)
 from edgewalk.graph import Graph, LabelSet
 from edgewalk.relational import _clamped_bce
 
@@ -323,3 +329,64 @@ def node_labels_by_line(lines, index_of, on_missing="error"):
         _check_labels(label_field, n)
         rows.append((index_of[token], label_field))
     return _label_rows(rows), skipped
+
+
+def minimize_reference(fun, x0, args=(), gtol=SOLVER_GRAD_TOL, maxiter=SOLVER_MAX_ITER,
+                       events=None):
+    """Reference for ``evaluation.minimize``: the same L-BFGS on one problem
+    ``fun(x, *args) -> (value, gradient)`` of a vector ``x``, with its pairs in a
+    deque. Adds to the Counter ``events`` the branches it takes."""
+    note = (lambda name: None) if events is None else (lambda name: events.update([name]))
+    x, pairs, nit = np.array(x0, dtype=np.float64), deque(maxlen=MEMORY), 0
+    f, g = fun(x, *args)
+    while nit < maxiter and np.abs(g).max() > gtol:
+        d, alphas = -g, []
+        for s, y, rho in reversed(pairs):
+            alphas.append(rho * (s @ d))
+            d -= alphas[-1] * y
+        d *= 1.0 / (pairs[-1][2] * (pairs[-1][1] @ pairs[-1][1])) if pairs else 1.0
+        for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+            d += (alpha - rho * (y @ d)) * s
+        slope = float(g @ d)
+        if not slope < 0:                     # not a descent direction: restart
+            note("restart")
+            pairs.clear()
+            d, slope = -g, -float(g @ g)
+        step = 1.0 if nit else 1.0 / math.sqrt(-slope)
+        lo, hi, widths = (0.0, float(f), slope), None, [math.inf, math.inf]
+        for _ in range(MAX_LINE_EVALS):
+            f_new, g_new = fun(x + step * d, *args)
+            trial = (step, float(f_new), float(g_new @ d))
+            if not trial[1] <= f + C1 * step * slope or trial[1] >= lo[1]:
+                hi = trial
+            elif abs(trial[2]) <= -C2 * slope:
+                break
+            else:
+                if trial[2] * ((math.inf if hi is None else hi[0]) - step) >= 0:
+                    hi = lo
+                prev, lo = lo, trial
+            if hi is None:                    # extrapolate by 1.1 to 4 times the last gain
+                gain = step - prev[0]
+                step = max(step + 1.1 * gain, min(step + 4.0 * gain, _cubic_min(*prev, *lo)))
+            else:
+                a, b = sorted((lo[0], hi[0]))
+                step = _cubic_min(*lo, *hi)
+                if not a < step < b or b - a > 0.66 * widths[-2]:
+                    step = (a + b) / 2
+                widths.append(b - a)
+        else:
+            note("line search exhausted")
+            break                             # no step found; x is the best point seen
+        s, y = trial[0] * d, g_new - g
+        if s @ y > -np.finfo(np.float64).eps * trial[0] * slope:
+            note("memory wrapped" if len(pairs) == MEMORY else "pair kept")
+            pairs.append((s, y, 1.0 / (s @ y)))
+        else:
+            note("pair rejected")
+        f_old, x, f, g, nit = f, x + s, trial[1], g_new, nit + 1
+        if f_old - f <= SOLVER_F_TOL * max(abs(f_old), abs(f), 1.0):
+            note("decrease stop")
+            break
+    if nit == 0 and not np.abs(g).max() > gtol:
+        note("start meets gtol")
+    return SimpleNamespace(x=x, fun=f, nit=nit)

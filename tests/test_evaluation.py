@@ -1,16 +1,19 @@
+import collections
 import io
 import logging
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.optimize
 import scipy.special
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgewalk.errors import ConfigError, ValidationError
 from edgewalk.evaluation import (
+    SOLVER_MAX_ITER,
     EvalConfig,
     OvrClassifier,
     fit_binary_logreg,
@@ -24,7 +27,7 @@ from edgewalk.evaluation import (
 )
 
 from helpers import label_sets, multi_hot
-from oracles import macro_f1_brute_force, top_k_by_ranks, top_k_reference
+from oracles import macro_f1_brute_force, minimize_reference, top_k_by_ranks, top_k_reference
 
 
 def f1_of_sets(truth, preds):
@@ -39,7 +42,7 @@ def f1_of_sets(truth, preds):
 def test_separable_toy_reaches_full_training_accuracy():
     x = np.array([[-2.0], [-1.5], [-1.0], [1.0], [1.5], [2.0]])
     positive = np.array([False, False, False, True, True, True])
-    w, b = fit_binary_logreg(x, positive, l2_strength=1.0)
+    (w,), (b,) = fit_binary_logreg(x, positive, l2_strength=1.0)
     predicted = (x @ w + b) > 0
     assert (predicted == positive).all()
 
@@ -48,7 +51,7 @@ def test_huge_regularization_pushes_weights_to_zero():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(40, 3))
     positive = rng.random(40) < 0.7  # positives dominate
-    w, b = fit_binary_logreg(x, positive, l2_strength=1e8)
+    (w,), (b,) = fit_binary_logreg(x, positive, l2_strength=1e8)
     assert np.abs(w).max() < 1e-4
     assert b > 0  # bias carries the class prior
 
@@ -58,7 +61,7 @@ def test_duplicated_feature_columns_get_symmetric_weights():
     base = rng.normal(size=(60, 1))
     x = np.hstack([base, base])
     positive = base.ravel() + 0.3 * rng.normal(size=60) > 0
-    w, _ = fit_binary_logreg(x, positive, l2_strength=1.0)
+    (w,), _ = fit_binary_logreg(x, positive, l2_strength=1.0)
     assert w[0] == pytest.approx(w[1], abs=1e-6)
 
 
@@ -104,8 +107,21 @@ def random_problems(seed, l2, count=20):
             yield x, np.where(positive, 1.0, -1.0), l2
 
 
+def rowwise(*objectives):
+    """The objective ``fun(x, rows)`` of ``minimize`` whose row i is the objective
+    ``objectives[i](x) -> (value, gradient)`` of one vector."""
+    def fun(x, rows):
+        values, grads = zip(*(objectives[r](xr) for r, xr in zip(rows, x)))
+        return np.array(values), np.array(grads)
+    return fun
+
+
 def solve(args):
-    return minimize(_logreg_objective, np.zeros(args[0].shape[1] + 1), args=args)
+    """The package solver on one logistic problem, as a batch of one."""
+    x, sign, l2 = args
+    res = minimize(lambda theta, rows: _logreg_objective(theta, x, sign[None][rows], l2),
+                   np.zeros((1, x.shape[1] + 1)))
+    return SimpleNamespace(x=res.x[0], fun=res.fun[0], nit=res.nit)
 
 
 def test_solver_reaches_a_tight_optimum():
@@ -135,23 +151,23 @@ def test_solver_takes_as_many_iterations_as_lbfgsb(l2, seed):
 
 def test_zero_iterations_return_the_start():
     args = next(random_problems(7, 1.0))
-    x0 = np.linspace(-1.0, 1.0, args[0].shape[1] + 1)
-    res = minimize(_logreg_objective, x0, args=args, maxiter=0)
+    x0 = np.linspace(-1.0, 1.0, args[0].shape[1] + 1)[None]
+    res = minimize(rowwise(lambda theta: _logreg_objective(theta, *args)), x0, maxiter=0)
     assert res.nit == 0 and np.array_equal(res.x, x0)
     assert res.x is not x0
 
 
 def test_start_meeting_the_gradient_tolerance_takes_no_iteration():
-    x0 = np.full(3, 1e-7)
-    res = minimize(lambda x: (0.5 * (x @ x), x.copy()), x0)
+    x0 = np.full((1, 3), 1e-7)
+    res = minimize(rowwise(lambda x: (0.5 * (x @ x), x.copy())), x0)
     assert res.nit == 0 and np.array_equal(res.x, x0)
 
 
 def test_first_trial_step_is_one_over_the_gradient_norm():
     # On 0.5 ||x||^2 from ||x0|| = 5 the trial x0 - g / ||g|| meets both Wolfe
     # conditions, so the first iteration ends there.
-    x0 = np.array([3.0, 4.0])
-    res = minimize(lambda x: (0.5 * (x @ x), x.copy()), x0, maxiter=1)
+    x0 = np.array([[3.0, 4.0]])
+    res = minimize(rowwise(lambda x: (0.5 * (x @ x), x.copy())), x0, maxiter=1)
     np.testing.assert_allclose(res.x, 0.8 * x0, rtol=1e-15)
 
 
@@ -187,6 +203,111 @@ def test_gradient_coefficient_matches_expit():
                 want = -sign * scipy.special.expit(-value)
                 assert abs(grad[-1] - want) <= (1e-12 * abs(want)
                                                 + np.finfo(np.float64).smallest_subnormal)
+
+
+# Lockstep solving against the one-problem reference: every row of a batch
+# must get, bit for bit, the x, value and iteration count it gets alone.
+
+
+def assert_rows_solved_as_alone(objectives, x0, events=None, **kwargs):
+    res = minimize(rowwise(*objectives), x0, **kwargs)
+    for i, fun in enumerate(objectives):
+        alone = minimize_reference(fun, x0[i], events=events, **kwargs)
+        assert res.x[i].tobytes() == alone.x.tobytes(), i
+        assert np.float64(res.fun[i]).tobytes() == np.float64(alone.fun).tobytes(), i
+        assert res.nits[i] == alone.nit, i
+    assert type(res.nit) is int and res.nit == res.nits.sum()
+    return res
+
+
+def quadratic(a, c):
+    return lambda x: (0.5 * ((a * (x - c)) @ (x - c)), a * (x - c))
+
+
+def linear(c):
+    """No minimum: every line search extrapolates until it runs out of trials."""
+    return lambda x: (c @ x, c.copy())
+
+
+def log_quadratic(a):
+    """The value log(sum a x^2) with the gradient a x of the quadratic. With
+    gtol 0 the iterates reach 1e-160 and below, where the slopes and s'y
+    underflow to zero: the direction is no longer a descent direction, and
+    the pair of the restarted step is rejected."""
+    def fun(x):
+        m = np.abs(x).max()
+        return (2 * np.log(m) + np.log(a @ (x / m) ** 2) if m > 0 else -np.inf), a * x
+    return fun
+
+
+def logistic(seed, n, d, scale, l2):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, d)) * scale
+    sign = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    return lambda theta: _logreg_objective(theta, x, sign, l2)
+
+
+def branch_batches():
+    """(objectives, x0, gtol) batches whose rows between them take every branch."""
+    rng = np.random.default_rng(20)
+    a = np.geomspace(0.5, 50.0, 16)
+    yield ([quadratic(a, np.ones(16)), linear(rng.normal(size=16)),
+            logistic(1, 60, 15, 30.0, 0.0), logistic(2, 40, 15, 1.0, 1.0),
+            quadratic(a, rng.normal(size=16))],
+           np.vstack([np.full(16, 1 + 1e-8), np.zeros((3, 16)), rng.normal(size=(1, 16))]),
+           1e-6)
+    start = np.random.default_rng(2).normal(size=2)
+    yield ([log_quadratic(np.linspace(1.0, 1.5, 2)), log_quadratic(np.linspace(1.0, 4.0, 2)),
+            quadratic(np.array([1.0, 10.0]), np.array([1.0, -2.0])), linear(np.array([1.0, -3.0])),
+            logistic(4, 30, 1, 30.0, 0.0)],
+           np.vstack([start, start, [3.0, 1.0], [0.0, 0.0], [0.0, 0.0]]), 0.0)
+
+
+@pytest.mark.parametrize("maxiter", [0, 1, 2, 40, SOLVER_MAX_ITER])
+def test_lockstep_rows_get_the_bits_they_get_alone(maxiter):
+    events = collections.Counter()
+    nits = []
+    # The underflowing rows divide by subnormal curvatures; both solvers
+    # overflow there in the same places.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for objectives, x0, gtol in branch_batches():
+            nits += assert_rows_solved_as_alone(objectives, x0, events, gtol=gtol,
+                                                maxiter=maxiter).nits.tolist()
+    assert max(nits) <= maxiter
+    if maxiter == SOLVER_MAX_ITER:
+        assert set(events) == {"start meets gtol", "pair kept", "memory wrapped",
+                               "restart", "pair rejected", "line search exhausted",
+                               "decrease stop"}
+        assert len(set(nits)) >= 6       # the rows stop at different iterations
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([0.0, 1e-3, 1.0, 1e8]), st.sampled_from([1e-3, 1.0, 30.0]),
+       st.integers(1, 6), st.integers(2, 60), st.integers(1, 20), st.integers(0, 2**32 - 1))
+def test_lockstep_logistic_fits_match_fits_alone(l2, scale, labels, n, d, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, d)) * scale
+    positive = rng.random((n, labels)) < rng.uniform(0.1, 0.9, size=labels)
+    sign = np.where(positive.T, 1.0, -1.0)
+    res = minimize(lambda theta, rows: _logreg_objective(theta, x, sign[rows], l2),
+                   np.zeros((labels, d + 1)))
+    w, b = fit_binary_logreg(x, positive, l2)
+    assert w.tobytes() == res.x[:, :-1].tobytes() and b.tobytes() == res.x[:, -1].tobytes()
+    for lab in range(labels):
+        alone = minimize_reference(_logreg_objective, np.zeros(d + 1), args=(x, sign[lab], l2))
+        assert res.x[lab].tobytes() == alone.x.tobytes()
+        assert np.float64(res.fun[lab]).tobytes() == np.float64(alone.fun).tobytes()
+        assert res.nits[lab] == alone.nit
+
+
+def test_fits_need_no_numpy_2_only_dot(monkeypatch):
+    # pyproject allows numpy 1.24, which has no np.vecdot.
+    x = np.random.default_rng(4).normal(size=(30, 3))
+    positive = x[:, :2] > 0
+    expected = fit_binary_logreg(x, positive, 1.0)
+    monkeypatch.delattr(np, "vecdot", raising=False)
+    got = fit_binary_logreg(x, positive, 1.0)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, expected))
 
 
 def test_ovr_skips_degenerate_labels(caplog):
@@ -370,6 +491,14 @@ def test_split_nodes_degenerate_ratio():
     rng = np.random.default_rng(1)
     with pytest.raises(ConfigError):
         split_nodes(3, 0.99, rng)  # ceil -> 3 training nodes, empty test
+
+
+def test_experiment_checks_every_ratio_before_any_fit(monkeypatch):
+    x, sets = community_features(n_per=5)
+    monkeypatch.setattr("edgewalk.evaluation.minimize", pytest.fail)
+    with pytest.raises(ConfigError, match="ratio 0.99 "):
+        node_classification_experiment(x, multi_hot(sets, 3),
+                                       EvalConfig(train_ratios=(0.5, 0.99), repeats=1))
 
 
 def test_experiment_shape_and_determinism():

@@ -276,8 +276,9 @@ def test_unallocatable_value_is_an_error(synth_dir, tmp_path, capsys, command, f
     ("evaluate", ["--l2-strength", "inf"]),
     ("sweep", ["lambda", "--values", "0", "--eval-seed", "-1"]),
     ("sweep", ["dim", "--values", "8.7"]),
+    ("sweep", ["lambda", "--values", "0", "--eval-ratio", "0.999"]),
 ], ids=["synth-seed", "walk-seed", "evaluate-seed", "l2-nan", "l2-inf", "sweep-eval-seed",
-        "sweep-dim-fraction"])
+        "sweep-dim-fraction", "sweep-eval-ratio"])
 def test_bad_value_is_refused_before_any_output(synth_dir, embedding_files, tmp_path, capsys,
                                                 command, flags):
     out = tmp_path / "out"
@@ -393,6 +394,30 @@ def test_evaluate_missing_node_strict_fails(embedding_files, tmp_path, capsys):
                "--repeats", "1", "--out-dir", str(tmp_path / "e")])
     assert rc != 0
     assert "ghost" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["ratio", "one-field line", "strict unknown node"])
+def test_bad_label_input_is_refused_before_the_manifest(embedding_files, tmp_path, capsys,
+                                                         monkeypatch, case):
+    # The node labels and every ratio's split are checked before the output
+    # directory is made; a ratio that cannot split fails before any fit.
+    vec, nl = embedding_files
+    flags = ["--ratios", "0.5", "--repeats", "1"]
+    if case == "ratio":
+        flags = ["--ratios", "0.05", "0.999", "--repeats", "2"]
+    elif case == "one-field line":
+        lines = nl.read_text().splitlines()
+        nl.write_text("\n".join([lines[0], lines[1].split()[0], *lines[2:]]) + "\n")
+    else:
+        nl.write_text(nl.read_text() + "ghost community_0\n")
+        flags.append("--strict")
+    solves = []
+    monkeypatch.setattr("edgewalk.evaluation.minimize", lambda *a, **k: solves.append(a))
+    out = tmp_path / "e"
+    assert main(["evaluate", str(vec), str(nl), *flags, "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not out.exists() and solves == []
 
 
 # evaluate, center table from the checkpoint -------------------------------------

@@ -98,10 +98,10 @@ def _load_config_file(path: str) -> dict:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: config file must hold a JSON object")
-    if "config" in data and "tool_version" in data:
+    if isinstance(data, dict) and "config" in data and "tool_version" in data:
         data = data["config"]  # a manifest doubles as a config file
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: config must be a JSON object")
     return data
 
 
@@ -136,19 +136,34 @@ def _add_train_flags(parser: argparse.ArgumentParser) -> None:
                                 default=sup)
 
 
+def _load_graph(edges: str, edge_labels: str | None):
+    """The edge list's graph, and its labeled edges when a file is named."""
+    with open(edges) as fh:
+        graph = load_edge_list(fh)
+    if edge_labels is None:
+        return graph, None
+    with open(edge_labels) as fh:
+        return graph, load_edge_labels(fh, graph)
+
+
+def _load_node_labels(path: str, index_of: dict, strict: bool = False):
+    """Node labels of the nodes ``index_of`` maps to rows; another labeled node
+    is an error when ``strict``, and is otherwise left out with a warning."""
+    with open(path) as fh:
+        label_set, skipped = load_node_labels(fh, index_of,
+                                              on_missing="error" if strict else "skip")
+    for name in skipped:
+        log.warning("node %r has labels but no embedding; excluded", name)
+    return label_set
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     config = _collect_train_config(args)
     if config.lambda_ > 0 and not args.edge_labels:
         raise ConfigError("lambda > 0 needs an edge-label file")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    with open(args.edges) as fh:
-        graph = load_edge_list(fh)
-    labeled = None
-    if args.edge_labels:
-        with open(args.edge_labels) as fh:
-            labeled = load_edge_labels(fh, graph)
+    graph, labeled = _load_graph(args.edges, args.edge_labels or None)
 
     _write_manifest(out_dir / "manifest.json", "train", config.to_dict(),
                     {"edges": args.edges, "edge_labels": args.edge_labels},
@@ -188,16 +203,6 @@ def _embedding_table(path: Path, digest: str):
         return *read_embeddings(fh), None
 
 
-def _aligned_eval_inputs(ids, matrix, node_label_path: str, strict: bool):
-    index_of = {name: i for i, name in enumerate(ids)}
-    with open(node_label_path) as fh:
-        label_set, skipped = load_node_labels(fh, index_of,
-                                              on_missing="error" if strict else "skip")
-    for name in skipped:
-        log.warning("node %r has labels but no embedding; excluded", name)
-    return matrix[label_set.owners], label_set.targets
-
-
 def cmd_evaluate(args: argparse.Namespace) -> int:
     config = EvalConfig(
         train_ratios=tuple(args.ratios),
@@ -209,8 +214,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     config.validate()
     digest = _sha256(Path(args.embeddings))
     ids, matrix, checkpoint = _embedding_table(Path(args.embeddings), digest)
-    features, targets = _aligned_eval_inputs(ids, matrix, args.node_labels, args.strict)
-    check_splits(len(targets), config.train_ratios)
+    labels = _load_node_labels(args.node_labels, {name: i for i, name in enumerate(ids)},
+                               args.strict)
+    check_splits(labels.num_labeled, config.train_ratios)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_manifest(out_dir / "eval_manifest.json", "evaluate",
@@ -219,7 +225,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                     {"embeddings": digest}, outputs=("eval_report.txt", "eval_results.tsv"),
                     embeddings_checkpoint=None if checkpoint is None else str(checkpoint))
 
-    report = node_classification_experiment(features, targets, config)
+    report = node_classification_experiment(matrix[labels.owners], labels.targets, config)
     table = report.format_table()
     sys.stdout.write(table)
     with _replacing(out_dir / "eval_report.txt") as partial:
@@ -277,14 +283,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                              seed=args.eval_seed)
     eval_config.validate()
 
-    with open(args.edges) as fh:
-        graph = load_edge_list(fh)
-    with open(args.edge_labels) as fh:
-        full_labels = load_edge_labels(fh, graph)
-    with open(args.node_labels) as fh:
-        node_label_set, skipped = load_node_labels(fh, graph.index, on_missing="skip")
-    for name in skipped:
-        log.warning("node %r has labels but is not in the graph; excluded", name)
+    graph, full_labels = _load_graph(args.edges, args.edge_labels)
+    node_label_set = _load_node_labels(args.node_labels, graph.index)
     # Every value is checked before any output, so a bad one writes nothing.
     check_splits(node_label_set.num_labeled, eval_config.train_ratios)
     if args.parameter == "label-fraction":

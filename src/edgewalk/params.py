@@ -13,7 +13,7 @@ import hashlib
 import json
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy
@@ -99,23 +99,29 @@ class AdamOptimizer:
         self.mlp = mlp
         self.lr = lr
         self.t = 0
-        self._m_center = np.zeros_like(tables.center)
-        self._v_center = np.zeros_like(tables.center)
-        self._m_context = np.zeros_like(tables.context)
-        self._v_context = np.zeros_like(tables.context)
+        # (state name, name in errors, parameter) per block, in checkpoint order.
+        named = [("center", "center", tables.center), ("context", "context", tables.context)]
         if mlp is not None:
-            self._m_mlp = [np.zeros_like(a) for a in mlp.weights + mlp.biases]
-            self._v_mlp = [np.zeros_like(a) for a in mlp.weights + mlp.biases]
+            labels = [f"mlp.weights[{k}]" for k in range(len(mlp.weights))] + \
+                     [f"mlp.biases[{k}]" for k in range(len(mlp.biases))]
+            named += [(f"mlp{i}", label, p)
+                      for i, (label, p) in enumerate(zip(labels, mlp.weights + mlp.biases))]
+        self._blocks = [(name, label, p, np.zeros_like(p), np.zeros_like(p))
+                        for name, label, p in named]
         self._buffers: dict[tuple, list[np.ndarray]] = {}
 
     def _update_rows(self, param, m, v, rows, grads, bc1, bc2, block):
+        """Adam on rows ``rows`` of ``param`` and its moments ``m`` and ``v``, or
+        on all of them when ``rows`` is None."""
         if not np.isfinite(grads).all():
             raise NumericsError(f"non-finite gradient in parameter block {block!r}")
-        # The rows go through in blocks, each through buffers made on the
-        # first step: one gather and one scatter per array and block. The
-        # moment sums run in the gradient's dtype (``scaled``) and round into
-        # the table's; the step is taken in the table's dtype from the
-        # rounded moments.
+        if rows is None:  # in place, a bias as one row
+            param, m, v, grads = np.atleast_2d(param, m, v, grads)
+        # The rows go through in blocks. Given rows are gathered into buffers
+        # made on the first step and scattered back: one gather and one
+        # scatter per array and block. The moment sums run in the gradient's
+        # dtype (``scaled``) and round into the table's; the step is taken in
+        # the table's dtype from the rounded moments.
         key = (param.dtype, grads.dtype, param.shape[1])
         if key not in self._buffers:
             scaled = np.result_type(grads.dtype, 1.0)
@@ -125,14 +131,20 @@ class AdamOptimizer:
                                  [np.empty(shape, scaled)]
         buffers = self._buffers[key]
         size = len(buffers[0])
-        for start in range(0, len(rows), size):
-            at, g = rows[start:start + size], grads[start:start + size]
-            m_rows, v_rows, p_rows, step, denom, scaled = (b[:len(at)] for b in buffers)
-            # "wrap" reads what m[at] reads for rows in range; with ``out``,
-            # the default mode would gather into a copy first.
-            np.take(m, at, axis=0, out=m_rows, mode="wrap")
-            np.take(v, at, axis=0, out=v_rows, mode="wrap")
-            np.take(param, at, axis=0, out=p_rows, mode="wrap")
+        for start in range(0, len(grads), size):
+            part = slice(start, start + size)
+            g = grads[part]
+            step, denom, scaled = (b[:len(g)] for b in buffers[3:])
+            if rows is None:
+                m_rows, v_rows, p_rows = m[part], v[part], param[part]
+            else:
+                # "wrap" reads what m[at] reads for rows in range; with
+                # ``out``, the default mode would gather into a copy first.
+                at = rows[part]
+                m_rows, v_rows, p_rows = (b[:len(g)] for b in buffers[:3])
+                np.take(m, at, axis=0, out=m_rows, mode="wrap")
+                np.take(v, at, axis=0, out=v_rows, mode="wrap")
+                np.take(param, at, axis=0, out=p_rows, mode="wrap")
             np.multiply(g, 1.0 - self.beta1, out=scaled)
             m_rows *= self.beta1
             np.add(m_rows, scaled, out=m_rows)
@@ -147,44 +159,26 @@ class AdamOptimizer:
             denom += self.eps
             step /= denom
             p_rows -= step
-            m[at], v[at], param[at] = m_rows, v_rows, p_rows
-
-    def _update_dense(self, param, m, v, grad, bc1, bc2, block):
-        if not np.isfinite(grad).all():
-            raise NumericsError(f"non-finite gradient in parameter block {block!r}")
-        m += (1.0 - self.beta1) * (grad - m)
-        v += (1.0 - self.beta2) * (grad * grad - v)
-        param -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            if rows is not None:
+                m[at], v[at], param[at] = m_rows, v_rows, p_rows
 
     def step(self, grad: SparseGrad) -> None:
         """Apply one Adam update; the step counter advances exactly once."""
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        if grad.center_rows is not None:
-            self._update_rows(self.tables.center, self._m_center, self._v_center,
-                              grad.center_rows, grad.center_grads, bc1, bc2, "center")
-        if grad.context_rows is not None:
-            self._update_rows(self.tables.context, self._m_context, self._v_context,
-                              grad.context_rows, grad.context_grads, bc1, bc2, "context")
+        updates = [(grad.center_rows, grad.center_grads), (grad.context_rows, grad.context_grads)]
         if grad.mlp_weight_grads is not None:
             if self.mlp is None:
                 raise ConfigError("MLP gradients supplied but optimizer holds no MLP")
-            dense = grad.mlp_weight_grads + grad.mlp_bias_grads
-            params = self.mlp.weights + self.mlp.biases
-            names = [f"mlp.weights[{i}]" for i in range(len(self.mlp.weights))] + \
-                    [f"mlp.biases[{i}]" for i in range(len(self.mlp.biases))]
-            for p, m, v, g, name in zip(params, self._m_mlp, self._v_mlp, dense, names):
-                self._update_dense(p, m, v, g, bc1, bc2, name)
+            updates += [(None, g) for g in grad.mlp_weight_grads + grad.mlp_bias_grads]
+        for (_, label, param, m, v), (rows, grads) in zip(self._blocks, updates):
+            if grads is not None:
+                self._update_rows(param, m, v, rows, grads, bc1, bc2, label)
 
     def state_arrays(self) -> dict[str, np.ndarray]:
-        out = {"adam_m_center": self._m_center, "adam_v_center": self._v_center,
-               "adam_m_context": self._m_context, "adam_v_context": self._v_context}
-        if self.mlp is not None:
-            for i, (m, v) in enumerate(zip(self._m_mlp, self._v_mlp)):
-                out[f"adam_m_mlp{i}"] = m
-                out[f"adam_v_mlp{i}"] = v
-        return out
+        return {f"adam_{moment}_{name}": array for name, _, _, m, v in self._blocks
+                for moment, array in (("m", m), ("v", v))}
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +192,8 @@ class AdamOptimizer:
 # The zip-free layout keeps byte output identical across reruns.
 # "embeddings_sha256" is the digest of the embedding file written with the
 # checkpoint, whose text is the center table: ``load_center`` reads the table
-# from here when that file is the one being scored.
+# from here when that file is the one being scored. Nothing in the package
+# reads the other arrays; the tests hold a reader of the whole file.
 # ---------------------------------------------------------------------------
 
 CHECKPOINT_MAGIC = b"EWCHKPT1"
@@ -207,20 +202,6 @@ CHECKPOINT_MAGIC = b"EWCHKPT1"
 def config_hash(config_dict: dict) -> str:
     blob = json.dumps(config_dict, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
-
-
-@dataclass
-class Checkpoint:
-    """Deserialized checkpoint contents; object graphs are rebuilt by callers."""
-
-    center: np.ndarray
-    context: np.ndarray
-    mlp_weights: list[np.ndarray]
-    mlp_biases: list[np.ndarray]
-    adam: dict[str, np.ndarray]
-    adam_t: int
-    config: dict
-    ids: list[str] = field(default_factory=list)
 
 
 def save_checkpoint(path, tables: EmbeddingTables, mlp, optimizer: AdamOptimizer,
@@ -274,32 +255,6 @@ def _read_header(fh, path) -> dict:
     if not isinstance(header, dict):
         raise ParseError(f"{path}: checkpoint header is not a JSON object")
     return header
-
-
-def load_checkpoint(path) -> Checkpoint:
-    with open(path, "rb") as fh:
-        header = _read_header(fh, path)
-        loaded: dict[str, np.ndarray] = {}
-        for meta in header["arrays"]:
-            shape = tuple(meta["shape"])
-            dtype = np.dtype(meta["dtype"])
-            count = int(np.prod(shape)) if shape else 1
-            data = _read_exact(fh, count * dtype.itemsize, path)
-            loaded[meta["name"]] = np.frombuffer(data, dtype=dtype).reshape(shape).copy()
-
-    weights = [loaded[k] for k in sorted(loaded) if k.startswith("mlp_w")]
-    biases = [loaded[k] for k in sorted(loaded) if k.startswith("mlp_b")]
-    adam = {k: v for k, v in loaded.items() if k.startswith("adam_")}
-    return Checkpoint(
-        center=loaded["center"],
-        context=loaded["context"],
-        mlp_weights=weights,
-        mlp_biases=biases,
-        adam=adam,
-        adam_t=header["adam_t"],
-        config=header["config"],
-        ids=header["ids"],
-    )
 
 
 def load_center(path, embeddings_sha256: str) -> tuple[list[str], np.ndarray]:

@@ -27,8 +27,10 @@ DESK = ("desk/graph.edges desk/graph.edge_labels --batches-per-round 200 "
         "--structural-batch 200 --relational-batch 200 --walks-per-node 10 --walk-length 10 "
         "--window 5 --dim 32 --negatives 5 --hidden 32 --lr 0.01 --early-stop-window 5 "
         "--max-rounds 40 --unsupervised-rounds 5 --validation-fraction 0.1 --seed 1")
+# desk-0.8-float32 steps float32 classifier arrays with float64 gradients.
 DESK_RUNS = {"desk-0.8": "--lambda 0.8", "desk-0.5": "--lambda 0.5", "desk-0": "--lambda 0",
-             "desk-0-float32": "--lambda 0 --dtype float32"}
+             "desk-0-float32": "--lambda 0 --dtype float32",
+             "desk-0.8-float32": "--lambda 0.8 --dtype float32"}
 
 RUNS = [
     "synth --communities 3 --community-size 8 --p-in 0.5 --p-out 0.05 --label-fraction 0.5 "

@@ -6,6 +6,7 @@ they check the vectorized implementations from outside.
 
 import math
 from collections import deque
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,6 +15,7 @@ from edgewalk.errors import ConfigError, NumericsError, ParseError, ValidationEr
 from edgewalk.evaluation import (C1, C2, MAX_LINE_EVALS, MEMORY, SOLVER_F_TOL, SOLVER_GRAD_TOL,
                                  SOLVER_MAX_ITER, _cubic_min)
 from edgewalk.graph import Graph, LabelSet
+from edgewalk.params import _read_exact, _read_header
 from edgewalk.relational import _clamped_bce
 
 FD_STEP = 1e-5
@@ -220,14 +222,16 @@ def accumulate_rows_reference(rows, grads, weights=None, sources=None):
 
 def update_rows_reference(optimizer, param, m, v, rows, grads, bc1, bc2, block):
     """Lazy Adam row update written out one formula per line; it stands in
-    for ``AdamOptimizer._update_rows`` (same arguments, ``optimizer`` as self)."""
+    for ``AdamOptimizer._update_rows`` (same arguments, ``optimizer`` as self).
+    ``rows`` None updates the whole array, of any shape."""
     if not np.isfinite(grads).all():
         raise NumericsError(f"non-finite gradient in parameter block {block!r}")
-    m[rows] = optimizer.beta1 * m[rows] + (1.0 - optimizer.beta1) * grads
-    v[rows] = optimizer.beta2 * v[rows] + (1.0 - optimizer.beta2) * grads * grads
-    m_hat = m[rows] / bc1
-    v_hat = v[rows] / bc2
-    param[rows] -= optimizer.lr * m_hat / (np.sqrt(v_hat) + optimizer.eps)
+    at = slice(None) if rows is None else rows
+    m[at] = optimizer.beta1 * m[at] + (1.0 - optimizer.beta1) * grads
+    v[at] = optimizer.beta2 * v[at] + (1.0 - optimizer.beta2) * grads * grads
+    m_hat = m[at] / bc1
+    v_hat = v[at] / bc2
+    param[at] -= optimizer.lr * m_hat / (np.sqrt(v_hat) + optimizer.eps)
 
 
 # Line-at-a-time parsers for the three graph input formats. They read one
@@ -390,3 +394,49 @@ def minimize_reference(fun, x0, args=(), gtol=SOLVER_GRAD_TOL, maxiter=SOLVER_MA
     if nit == 0 and not np.abs(g).max() > gtol:
         note("start meets gtol")
     return SimpleNamespace(x=x, fun=f, nit=nit)
+
+
+# The whole-file checkpoint reader. The package reads only the center table
+# back (``params.load_center``); this reader checks every array that
+# ``params.save_checkpoint`` writes.
+
+
+@dataclass
+class Checkpoint:
+    """Deserialized checkpoint contents."""
+
+    center: np.ndarray
+    context: np.ndarray
+    mlp_weights: list[np.ndarray]
+    mlp_biases: list[np.ndarray]
+    adam: dict[str, np.ndarray]
+    adam_t: int
+    config: dict
+    ids: list[str] = field(default_factory=list)
+
+
+def load_checkpoint(path) -> Checkpoint:
+    """Every array of the checkpoint at ``path``, in the header's order."""
+    with open(path, "rb") as fh:
+        header = _read_header(fh, path)
+        loaded: dict[str, np.ndarray] = {}
+        for meta in header["arrays"]:
+            shape = tuple(meta["shape"])
+            dtype = np.dtype(meta["dtype"])
+            count = int(np.prod(shape)) if shape else 1
+            data = _read_exact(fh, count * dtype.itemsize, path)
+            loaded[meta["name"]] = np.frombuffer(data, dtype=dtype).reshape(shape).copy()
+
+    weights = [loaded[k] for k in sorted(loaded) if k.startswith("mlp_w")]
+    biases = [loaded[k] for k in sorted(loaded) if k.startswith("mlp_b")]
+    adam = {k: v for k, v in loaded.items() if k.startswith("adam_")}
+    return Checkpoint(
+        center=loaded["center"],
+        context=loaded["context"],
+        mlp_weights=weights,
+        mlp_biases=biases,
+        adam=adam,
+        adam_t=header["adam_t"],
+        config=header["config"],
+        ids=header["ids"],
+    )

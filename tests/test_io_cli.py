@@ -16,9 +16,8 @@ from edgewalk.cli import main
 from edgewalk.embedding_io import read_embeddings, write_embeddings
 from edgewalk.errors import ParseError
 from edgewalk.graph import load_edge_list
-from edgewalk.params import load_checkpoint
 
-from oracles import has_edge, walks_by_line
+from oracles import has_edge, load_checkpoint, walks_by_line
 
 
 # embedding text format ---------------------------------------------------------
@@ -234,6 +233,27 @@ def test_bad_config_file_is_an_error(synth_dir, tmp_path, capsys, text):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+# A manifest given as a config file must hold its config as a JSON object.
+@pytest.mark.parametrize("command", ["train", "sweep"])
+@pytest.mark.parametrize("value", ["[1, 2]", '"x"', "3", "null"],
+                         ids=["list", "string", "number", "null"])
+def test_manifest_config_that_is_not_an_object_is_an_error(synth_dir, tmp_path, capsys,
+                                                           command, value):
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text('{"tool_version": "0.1.0", "config": %s}' % value)
+    data = [str(synth_dir / name) for name in ("graph.edges", "graph.edge_labels")]
+    if command == "sweep":
+        argv = ["sweep", "lambda", *data, str(synth_dir / "graph.node_labels"), "--values", "0"]
+    else:
+        argv = ["train", *data]
+    out = tmp_path / "out"
+    assert main([*argv, "--config", str(config_path), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(config_path) in err
+    assert not out.exists()
 
 
 # Sizes no machine can hold. A size check refuses each one before its array

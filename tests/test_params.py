@@ -19,13 +19,12 @@ from edgewalk.params import (
     accumulate_rows,
     init_embeddings,
     load_center,
-    load_checkpoint,
     save_checkpoint,
 )
 from edgewalk.relational import MlpParams
 
 from helpers import EDGE_VALUES, node_id
-from oracles import accumulate_rows_reference, update_rows_reference
+from oracles import accumulate_rows_reference, load_checkpoint, update_rows_reference
 
 
 def dense_adam_reference(params, grads, steps_state):
@@ -131,13 +130,13 @@ def test_lazy_rows_keep_stale_moments():
     tables = EmbeddingTables(center=np.zeros((2, 1)), context=np.zeros((2, 1)))
     opt = AdamOptimizer(tables, lr=0.01)
     opt.step(SparseGrad(center_rows=np.array([0]), center_grads=np.array([[1.0]])))
-    m0 = opt._m_center[0, 0]
-    v0 = opt._v_center[0, 0]
+    m0 = opt.state_arrays()["adam_m_center"][0, 0]
+    v0 = opt.state_arrays()["adam_v_center"][0, 0]
     p0 = tables.center[0, 0]
     assert m0 != 0.0 and v0 != 0.0
     opt.step(SparseGrad(center_rows=np.array([1]), center_grads=np.array([[5.0]])))
-    assert opt._m_center[0, 0] == m0
-    assert opt._v_center[0, 0] == v0
+    assert opt.state_arrays()["adam_m_center"][0, 0] == m0
+    assert opt.state_arrays()["adam_v_center"][0, 0] == v0
     assert tables.center[0, 0] == p0
     assert opt.t == 2
 
@@ -221,34 +220,41 @@ DTYPE_PAIRS = [(np.float64, np.float64), (np.float32, np.float32), (np.float32, 
 
 
 def check_update_rows_bytes(case, table_dtype, grad_dtype, block_rows):
-    """Eight row updates against the reference formulas, byte for byte; odd
-    steps carry signed-zero gradients. The step works in blocks of
-    ``block_rows`` rows."""
+    """Eight updates against the reference formulas, byte for byte; odd steps
+    carry signed-zero gradients. The row cases update rows of a 30 x 6 table;
+    "weight" (a Fortran-ordered 30 x 6 array) and "bias" (6 values) are updated
+    whole, with ``rows`` None. The step works in blocks of ``block_rows`` rows."""
     rng = np.random.default_rng(5)
-    tables = [EmbeddingTables(center=rng.normal(size=(30, 6)).astype(table_dtype),
-                              context=np.zeros((30, 6), dtype=table_dtype))]
-    tables.append(EmbeddingTables(center=tables[0].center.copy(),
-                                  context=tables[0].context.copy()))
-    fast, ref = AdamOptimizer(tables[0], lr=0.05), AdamOptimizer(tables[1], lr=0.05)
+    if case == "weight":
+        start = rng.normal(size=(6, 30)).T
+    elif case == "bias":
+        start = rng.normal(size=6)
+    else:
+        start = rng.normal(size=(30, 6))
+    start = start.astype(table_dtype)  # keeps the Fortran order
+    # (param, m, v) for the kernel and for the reference.
+    arrays = [[np.copy(start), np.zeros_like(start), np.zeros_like(start)] for _ in range(2)]
+    fast, ref = (AdamOptimizer(single_row_tables(), lr=0.05) for _ in range(2))
     for t in range(1, 9):
         rows = {"many": np.sort(rng.permutation(30)[:12]), "single": np.array([t]),
-                "empty": np.zeros(0, dtype=np.int64)}[case]
-        grads = (rng.normal(size=(len(rows), 6)) * 10.0 ** rng.integers(-6, 3)).astype(grad_dtype)
+                "empty": np.zeros(0, dtype=np.int64)}.get(case)
+        shape = start.shape if rows is None else (len(rows), 6)
+        grads = (rng.normal(size=shape) * 10.0 ** rng.integers(-6, 3)).astype(grad_dtype)
         if t % 2:
             grads = with_signed_zeros(grads)
         bc1, bc2 = 1.0 - fast.beta1 ** t, 1.0 - fast.beta2 ** t
-        fast._update_rows(tables[0].center, fast._m_center, fast._v_center, rows, grads,
-                          bc1, bc2, "center")
-        update_rows_reference(ref, tables[1].center, ref._m_center, ref._v_center, rows,
-                              grads, bc1, bc2, "center")
-        assert_same_bytes([tables[0].center, fast._m_center, fast._v_center],
-                          [tables[1].center, ref._m_center, ref._v_center])
+        fast._update_rows(*arrays[0], rows, grads, bc1, bc2, "center")
+        update_rows_reference(ref, *arrays[1], rows, grads, bc1, bc2, "center")
+        assert_same_bytes(*arrays)
     (buffer, *_), = fast._buffers.values()
     assert len(buffer) == block_rows
 
 
+ROW_UPDATE_CASES = ["many", "single", "empty", "weight", "bias"]
+
+
 @pytest.mark.parametrize("table_dtype, grad_dtype", DTYPE_PAIRS)
-@pytest.mark.parametrize("case", ["many", "single", "empty"])
+@pytest.mark.parametrize("case", ROW_UPDATE_CASES)
 def test_update_rows_matches_reference_bytes(case, table_dtype, grad_dtype):
     # float64 gradients into float32 tables are what the relational loss
     # hands a float32 run. The default block holds all rows of a step.
@@ -258,13 +264,43 @@ def test_update_rows_matches_reference_bytes(case, table_dtype, grad_dtype):
 
 @pytest.mark.parametrize("block_rows", [1, 5])
 @pytest.mark.parametrize("table_dtype, grad_dtype", DTYPE_PAIRS)
-@pytest.mark.parametrize("case", ["many", "single", "empty"])
+@pytest.mark.parametrize("case", ROW_UPDATE_CASES)
 def test_update_rows_in_blocks_matches_reference_bytes(case, table_dtype, grad_dtype,
                                                        block_rows, monkeypatch):
-    # Blocks of 1 and 5 rows split the 12 rows of "many" into 12 and 3 blocks.
+    # Blocks of 1 and 5 rows split the 12 rows of "many" into 12 and 3 blocks,
+    # and the 30 rows of "weight" into 30 and 6.
     monkeypatch.setattr(params, "BLOCK_BYTES", block_bytes(block_rows, table_dtype,
                                                            grad_dtype, 6))
     check_update_rows_bytes(case, table_dtype, grad_dtype, block_rows)
+
+
+@pytest.mark.parametrize("table_dtype, grad_dtype", DTYPE_PAIRS)
+def test_step_on_classifier_matches_reference_bytes(table_dtype, grad_dtype):
+    # Every classifier weight (one Fortran-ordered) and bias takes the
+    # reference formula's step over the whole array, as embedding rows do.
+    rng = np.random.default_rng(8)
+    weights = [rng.normal(size=(4, 6)), rng.normal(size=(4, 2)).T]
+    biases = [rng.normal(size=4), rng.normal(size=2)]
+    mlp = MlpParams(weights=[w.astype(table_dtype) for w in weights],
+                    biases=[b.astype(table_dtype) for b in biases])
+    opt = AdamOptimizer(single_row_tables(), mlp=mlp, lr=0.05)
+    want = [[np.copy(p), np.zeros_like(p), np.zeros_like(p)] for p in mlp.weights + mlp.biases]
+    for t in range(1, 9):
+        grads = [(rng.normal(size=p.shape) * 10.0 ** rng.integers(-6, 3)).astype(grad_dtype)
+                 for p, _, _ in want]
+        if t % 2:
+            grads = [with_signed_zeros(g) for g in grads]
+        opt.step(SparseGrad(mlp_weight_grads=grads[:2], mlp_bias_grads=grads[2:]))
+        bc1, bc2 = 1.0 - opt.beta1 ** t, 1.0 - opt.beta2 ** t
+        for (p, m, v), g in zip(want, grads):
+            update_rows_reference(opt, p, m, v, None, g, bc1, bc2, "mlp")
+        state = opt.state_arrays()
+        assert_same_bytes(mlp.weights + mlp.biases, [p for p, _, _ in want])
+        assert_same_bytes([state[f"adam_{k}_mlp{i}"] for i in range(4) for k in "mv"],
+                          [a for _, m, v in want for a in (m, v)])
+    assert list(state) == ["adam_m_center", "adam_v_center", "adam_m_context", "adam_v_context",
+                           *(f"adam_{k}_mlp{i}" for i in range(4) for k in "mv")]
+    assert not np.any(opt.tables.center) and not np.any(state["adam_m_center"])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -64,6 +64,22 @@ def _replacing(path: Path):
         partial.unlink(missing_ok=True)
 
 
+@contextmanager
+def _reading(path):
+    """The text input at ``path``, opened as strict UTF-8 with a leading byte-order mark
+    dropped. A byte sequence that is not UTF-8 raises ParseError naming the file and the
+    byte offset of the first such sequence."""
+    with open(path, encoding="utf-8-sig") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            try:  # the decoder's offset is within its chunk; the whole file's is wanted
+                Path(path).read_bytes().decode("utf-8")
+            except UnicodeDecodeError as whole:
+                exc = whole
+            raise ParseError(f"{path}: not UTF-8 at byte {exc.start}") from None
+
+
 def _write_manifest(path: Path, command: str, config_dict: dict, inputs: dict,
                     digests: dict | None = None, outputs: tuple[str, ...] = (),
                     **fields) -> None:
@@ -93,7 +109,7 @@ def _write_manifest(path: Path, command: str, config_dict: dict, inputs: dict,
 
 
 def _load_config_file(path: str) -> dict:
-    with open(path) as fh:
+    with _reading(path) as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -138,18 +154,18 @@ def _add_train_flags(parser: argparse.ArgumentParser) -> None:
 
 def _load_graph(edges: str, edge_labels: str | None):
     """The edge list's graph, and its labeled edges when a file is named."""
-    with open(edges) as fh:
+    with _reading(edges) as fh:
         graph = load_edge_list(fh)
     if edge_labels is None:
         return graph, None
-    with open(edge_labels) as fh:
+    with _reading(edge_labels) as fh:
         return graph, load_edge_labels(fh, graph)
 
 
 def _load_node_labels(path: str, index_of: dict, strict: bool = False):
     """Node labels of the nodes ``index_of`` maps to rows; another labeled node
     is an error when ``strict``, and is otherwise left out with a warning."""
-    with open(path) as fh:
+    with _reading(path) as fh:
         label_set, skipped = load_node_labels(fh, index_of,
                                               on_missing="error" if strict else "skip")
     for name in skipped:
@@ -199,7 +215,7 @@ def _embedding_table(path: Path, digest: str):
         return *load_center(checkpoint, digest), checkpoint
     except (OSError, ParseError) as exc:
         log.info("%s; reading %s as text", exc, path)
-    with open(path) as fh:
+    with _reading(path) as fh:
         return *read_embeddings(fh), None
 
 
@@ -251,7 +267,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_walk(args: argparse.Namespace) -> int:
-    with open(args.edges) as fh:
+    with _reading(args.edges) as fh:
         graph = load_edge_list(fh)
     corpus = generate_walks(graph, args.walks_per_node, args.walk_length, args.seed)
     with _replacing(Path(args.out)) as partial, open(partial, "w") as fh:

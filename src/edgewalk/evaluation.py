@@ -2,8 +2,8 @@
 
 Protocol: sample a fraction of the nodes as training data, fit one-vs-rest
 L2-regularized logistic regression on their embeddings (numpy L-BFGS over all
-labels of a split at once, ``minimize``), predict labels for the remaining
-nodes, and report Macro-F1.
+labels of all repeats of a train ratio at once, ``minimize``), predict labels
+for the remaining nodes, and report Macro-F1.
 Each node's prediction keeps the top-k scoring labels where k is that node's
 true label count (ties broken toward the lower label index), which makes
 scores comparable across methods that produce probabilities on different
@@ -188,12 +188,14 @@ class EvalConfig:
 
 @dataclass
 class OvrClassifier:
-    """One weight vector and bias per label; untrained labels score -inf."""
+    """One weight vector and bias per label; untrained labels score -inf. Fitted on
+    stacked splits, each array has a leading repeat axis, and ``scores`` takes one
+    repeat's arrays."""
 
-    weights: np.ndarray          # (num_labels, num_features)
-    biases: np.ndarray           # (num_labels,)
-    trained: np.ndarray          # (num_labels,) bool
-    skipped_labels: list[int] = field(default_factory=list)
+    weights: np.ndarray          # ([repeats,] num_labels, num_features)
+    biases: np.ndarray           # ([repeats,] num_labels)
+    trained: np.ndarray          # ([repeats,] num_labels) bool
+    skipped_labels: list = field(default_factory=list)
 
     def scores(self, features: np.ndarray) -> np.ndarray:
         s = features @ self.weights.T + self.biases
@@ -220,42 +222,66 @@ def _logreg_objective(theta, x, sign, l2):
     return value, grad
 
 
-def fit_binary_logreg(features: np.ndarray, positive: np.ndarray, l2_strength: float,
+def fit_binary_logreg(features: np.ndarray, positive, l2_strength: float,
                       max_iter: int = SOLVER_MAX_ITER) -> tuple[np.ndarray, np.ndarray]:
     """L-BFGS solves of binary L2-regularized logistic regressions, one per column of the
-    (N, B) bool ``positive`` (a vector is one column), all in one lockstep ``minimize``.
+    (N, B) bool ``positive`` (a vector is one column) on the (N, F) ``features``, all in one
+    lockstep ``minimize``. Stacked, ``features`` is (R, N, F) and ``positive`` holds R
+    (N, B_r) matrices, one per repeat; the problems then go repeat by repeat.
 
-    Returns (weights (B, F), biases (B,)). Each problem is convex; ``minimize`` stops it
-    on a gradient tolerance, a relative decrease tolerance or the iteration cap.
+    Returns (weights (B, F), biases (B,)), B the problem count. Each problem is convex;
+    ``minimize`` stops it on a gradient tolerance, a relative decrease tolerance or the
+    iteration cap. It sees only its own repeat's features, through the product it gets
+    alone, so it gets the bits it gets alone.
     """
     x = np.asarray(features, dtype=np.float64)
-    sign = np.where(np.atleast_2d(np.transpose(positive)), 1.0, -1.0)
-    res = minimize(lambda theta, rows: _logreg_objective(theta, x, sign[rows], l2_strength),
-                   np.zeros((len(sign), x.shape[1] + 1)), maxiter=max_iter)
+    if x.ndim == 2:
+        x, positive = x[None], [positive]
+    signs = [np.where(np.atleast_2d(np.transpose(p)), 1.0, -1.0) for p in positive]
+    sign = np.concatenate(signs)
+    repeat = np.repeat(np.arange(len(x)), [len(s) for s in signs])
+
+    def objective(theta, rows):
+        # minimize keeps ``rows`` ascending, so each repeat's problems are one run.
+        bounds = np.searchsorted(repeat[rows], np.arange(len(x) + 1)).tolist()
+        value, grad = np.empty(len(rows)), np.empty_like(theta)
+        for r, (a, b) in enumerate(zip(bounds, bounds[1:])):
+            if a < b:
+                value[a:b], grad[a:b] = _logreg_objective(theta[a:b], x[r], sign[rows[a:b]],
+                                                          l2_strength)
+        return value, grad
+
+    res = minimize(objective, np.zeros((len(sign), x.shape[2] + 1)), maxiter=max_iter)
     return res.x[:, :-1], res.x[:, -1]
 
 
 def train_ovr_logreg(features: np.ndarray, targets: np.ndarray,
                      l2_strength: float = 1.0) -> OvrClassifier:
-    """Fit one binary classifier per column of the (N, L) bool ``targets``, all together.
+    """Fit one binary classifier per column of the (N, L) bool ``targets``, all together;
+    stacked, per repeat and column of the (R, N, L) ``targets`` on (R, N, F) ``features``.
 
     Labels with no positive or no negative training example cannot be fit;
-    they are skipped with a warning and recorded on the classifier.
+    they are skipped with a warning and recorded on the classifier, as labels or,
+    stacked, as (repeat, label) pairs in repeat order.
     """
     x = np.asarray(features, dtype=np.float64)
-    n, num_labels = targets.shape
-    if x.shape[0] != n:
-        raise ValidationError(f"{x.shape[0]} feature rows for {n} label rows")
-    positives = targets.sum(axis=0)
+    if x.shape[:-1] != targets.shape[:-1]:
+        raise ValidationError(f"{x.shape[-2]} feature rows for {targets.shape[-2]} label rows")
+    n = targets.shape[-2]
+    positives = targets.sum(axis=-2)
     trained = (positives > 0) & (positives < n)
-    skipped = np.flatnonzero(~trained).tolist()
-    for lab in skipped:
-        log.warning("label %d skipped: %s training examples", lab,
-                    "no positive" if positives[lab] == 0 else "no negative")
-    weights = np.zeros((num_labels, x.shape[1]))
-    biases = np.zeros(num_labels)
-    weights[trained], biases[trained] = fit_binary_logreg(x, targets[:, trained], l2_strength)
-    return OvrClassifier(weights=weights, biases=biases, trained=trained, skipped_labels=skipped)
+    skipped = np.argwhere(~trained)
+    for where in skipped:
+        log.warning("label %d skipped: %s training examples", where[-1],
+                    "no positive" if positives[tuple(where)] == 0 else "no negative")
+    weights = np.zeros(trained.shape + x.shape[-1:])
+    biases = np.zeros(trained.shape)
+    positive = ([t[:, fit] for t, fit in zip(targets, trained)] if x.ndim == 3
+                else targets[:, trained])
+    weights[trained], biases[trained] = fit_binary_logreg(x, positive, l2_strength)
+    return OvrClassifier(weights=weights, biases=biases, trained=trained,
+                         skipped_labels=[tuple(w) for w in skipped.tolist()] if x.ndim == 3
+                         else skipped[:, 0].tolist())
 
 
 def predict_top_k(classifier: OvrClassifier, features: np.ndarray,
@@ -350,14 +376,17 @@ def node_classification_experiment(features: np.ndarray, targets: np.ndarray,
 
     means, stds, all_scores = [], [], []
     for ratio_idx, ratio in enumerate(config.train_ratios):
+        # Every repeat's split first, then one fit of all their problems.
+        rngs = (np.random.default_rng(np.random.SeedSequence([config.seed, ratio_idx, repeat]))
+                for repeat in range(config.repeats))
+        train_idx, test_idx = map(np.array, zip(*(split_nodes(n, ratio, rng) for rng in rngs)))
+        fitted = train_ovr_logreg(x[train_idx], targets[train_idx], config.l2_strength)
         repeat_scores = []
-        for repeat in range(config.repeats):
-            rng = np.random.default_rng(
-                np.random.SeedSequence([config.seed, ratio_idx, repeat]))
-            train_idx, test_idx = split_nodes(n, ratio, rng)
-            classifier = train_ovr_logreg(x[train_idx], targets[train_idx], config.l2_strength)
-            truth = targets[test_idx]
-            preds = predict_top_k(classifier, x[test_idx], truth.sum(axis=1))
+        for weights, biases, trained, test in zip(fitted.weights, fitted.biases,
+                                                  fitted.trained, test_idx):
+            truth = targets[test]
+            preds = predict_top_k(OvrClassifier(weights, biases, trained), x[test],
+                                  truth.sum(axis=1))
             repeat_scores.append(macro_f1(truth, preds))
         means.append(float(np.mean(repeat_scores)))
         stds.append(float(np.std(repeat_scores, ddof=1)) if len(repeat_scores) > 1 else 0.0)

@@ -82,11 +82,14 @@ def accumulate_rows(rows: np.ndarray, grads: np.ndarray, weights: np.ndarray | N
     order = np.argsort(rows, kind="stable")
     ordered = rows[order]
     first = np.flatnonzero(np.diff(ordered, prepend=ordered[:1] - 1))  # each run's start
-    # One matrix row per distinct row index, holding its contributions in
-    # order; the product adds them into zeros in that order.
-    pick = scipy.sparse.csr_matrix((weights[order], sources[order], np.append(first, len(rows))),
-                                   shape=(len(first), len(grads)))
-    return ordered[first], pick @ grads
+    # One CSR row per distinct row index, holding its contributions in order.
+    # scipy's kernel behind ``csr_matrix(...) @ grads``, called without building
+    # the matrix, adds them into zeros in that order.
+    sums = np.zeros((len(first), grads.shape[1]), dtype=np.result_type(weights, grads))
+    scipy.sparse._sparsetools.csr_matvecs(
+        len(first), len(grads), grads.shape[1], np.append(first, len(rows)), sources[order],
+        weights[order], grads.ravel(), sums.ravel())
+    return ordered[first], sums
 
 
 class AdamOptimizer:

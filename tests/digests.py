@@ -49,6 +49,9 @@ RUNS = [
     # The solver's unregularized path on normalized features.
     "evaluate desk-0.8/embeddings.vec desk/graph.node_labels --normalize --l2-strength 0 "
     "--out-dir desk-0.8-normalized",
+    # Repeats of one ratio that skip different labels: 0 to 2 of 4, none in some.
+    "evaluate desk-0.8/embeddings.vec desk/graph.node_labels --ratios 0.02 --repeats 10 "
+    "--out-dir desk-0.8-uneven",
     # The benchmark's mid-joint train flags.
     "train mid/graph.edges mid/graph.edge_labels --walks-per-node 40 --max-rounds 3 --seed 7 "
     "--out-dir mid-joint",

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
+import scipy.sparse
 
 from edgewalk.errors import ConfigError, NumericsError, ParseError, ValidationError
 from edgewalk.evaluation import (C1, C2, MAX_LINE_EVALS, MEMORY, SOLVER_F_TOL, SOLVER_GRAD_TOL,
@@ -218,6 +219,19 @@ def accumulate_rows_reference(rows, grads, weights=None, sources=None):
     acc = np.zeros((len(unique), grads.shape[1]), dtype=grads.dtype)
     np.add.at(acc, inverse, grads)
     return unique, acc
+
+
+def accumulate_rows_csr_product(rows, grads, weights=None, sources=None):
+    """Duplicate-row sums through scipy's public ``csr_matrix(...) @ grads``: one
+    matrix row per distinct row index, holding its contributions in order."""
+    if sources is None:
+        weights, sources = np.ones(len(rows), dtype=grads.dtype), np.arange(len(rows))
+    order = np.argsort(rows, kind="stable")
+    ordered = rows[order]
+    first = np.flatnonzero(np.diff(ordered, prepend=ordered[:1] - 1))
+    pick = scipy.sparse.csr_matrix((weights[order], sources[order], np.append(first, len(rows))),
+                                   shape=(len(first), len(grads)))
+    return ordered[first], pick @ grads
 
 
 def update_rows_reference(optimizer, param, m, v, rows, grads, bc1, bc2, block):

@@ -300,6 +300,46 @@ def test_lockstep_logistic_fits_match_fits_alone(l2, scale, labels, n, d, seed):
         assert res.nits[lab] == alone.nit
 
 
+def stacked_splits(seed, repeats, n=30, d=5, labels=4):
+    """(R, N, F) features and (R, N, L) targets of ``repeats`` splits. Label 0 has no
+    positive in repeat 0 and label 1 no negative in repeat 1; repeat 2 has no trainable
+    label, so repeats skip different labels."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(repeats, n, d)) * rng.uniform(0.3, 3.0, size=(repeats, 1, d))
+    targets = rng.random((repeats, n, labels)) < rng.uniform(0.1, 0.9, size=labels)
+    targets[0, :, 0] = False
+    targets[1:2, :, 1] = True
+    targets[2:3] = True
+    return x, targets
+
+
+@pytest.mark.parametrize("l2", [0.0, 1.0, 1e8])
+@pytest.mark.parametrize("repeats", [1, 4])
+def test_stacked_fit_matches_each_split_alone(l2, repeats):
+    # One lockstep solve over every (repeat, label) problem gives each repeat the
+    # classifier, and each label the iterates, that its split gets alone.
+    x, targets = stacked_splits(30 + repeats, repeats)
+    stacked = train_ovr_logreg(x, targets, l2)
+    assert stacked.skipped_labels == [tuple(w) for w in np.argwhere(~stacked.trained).tolist()]
+    nits, skipped = [], []
+    for r in range(repeats):
+        alone = train_ovr_logreg(x[r], targets[r], l2)
+        assert stacked.weights[r].tobytes() == alone.weights.tobytes(), r
+        assert stacked.biases[r].tobytes() == alone.biases.tobytes(), r
+        assert np.array_equal(stacked.trained[r], alone.trained), r
+        skipped.append([lab for rep, lab in stacked.skipped_labels if rep == r])
+        assert skipped[r] == alone.skipped_labels, r
+        for lab in np.flatnonzero(alone.trained):
+            sign = np.where(targets[r, :, lab], 1.0, -1.0)
+            ref = minimize_reference(_logreg_objective, np.zeros(x.shape[2] + 1),
+                                     args=(x[r], sign, l2))
+            theta = np.append(stacked.weights[r, lab], stacked.biases[r, lab])
+            assert theta.tobytes() == ref.x.tobytes(), (r, lab)
+            nits.append(ref.nit)
+    assert skipped == [[0], [1], [0, 1, 2, 3], []][:repeats]
+    assert len(set(nits)) > 1             # the problems stop at different iterations
+
+
 def test_fits_need_no_numpy_2_only_dot(monkeypatch):
     # pyproject allows numpy 1.24, which has no np.vecdot.
     x = np.random.default_rng(4).normal(size=(30, 3))

@@ -256,6 +256,44 @@ def test_manifest_config_that_is_not_an_object_is_an_error(synth_dir, tmp_path, 
     assert not out.exists()
 
 
+# Every text input is read as strict UTF-8. A byte that is not UTF-8 ends the run in
+# one error line that names the file and the byte's offset, before any manifest.
+@pytest.mark.parametrize("reader", ["edges", "edge labels", "node labels", "embeddings",
+                                    "config"])
+def test_input_that_is_not_utf8_is_an_error(synth_dir, embedding_files, tmp_path, capsys,
+                                            reader):
+    vec, nl = embedding_files
+    config = tmp_path / "cfg.json"
+    config.write_text('{"dim": 4, "seed": 2}\n')
+    inputs = {"edges": synth_dir / "graph.edges", "edge labels": synth_dir / "graph.edge_labels",
+              "node labels": nl, "embeddings": vec, "config": config}
+    data = inputs[reader].read_bytes()
+    at = len(data) // 2
+    bad = tmp_path / f"bad-{inputs[reader].name}"
+    bad.write_bytes(data[:at] + b"\xff" + data[at:])
+    inputs[reader] = bad
+    if reader in ("node labels", "embeddings"):
+        argv = ["evaluate", str(inputs["embeddings"]), str(inputs["node labels"]),
+                "--ratios", "0.5", "--repeats", "1"]
+    else:
+        argv = ["train", str(inputs["edges"]), str(inputs["edge labels"]),
+                "--config", str(inputs["config"]), *TINY_TRAIN_FLAGS]
+    out = tmp_path / "out"
+    assert main([*argv, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: not UTF-8 at byte {at}\n"
+    assert not list(out.glob("*manifest.json"))
+
+
+def test_leading_byte_order_mark_is_dropped(tmp_path):
+    edges = tmp_path / "bom.edges"
+    edges.write_bytes(b"\xef\xbb\xbfa b\nb c\nc a\n")
+    out = tmp_path / "out"
+    assert main(["train", str(edges), "--lambda", "0", *TINY_TRAIN_FLAGS,
+                 "--out-dir", str(out)]) == 0
+    with open(out / "embeddings.vec") as fh:
+        assert read_embeddings(fh)[0] == ["a", "b", "c"]
+
+
 # Sizes no machine can hold. A size check refuses each one before its array
 # is allocated, so these runs allocate nothing large.
 HUGE = "100000000000000000"

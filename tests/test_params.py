@@ -24,7 +24,8 @@ from edgewalk.params import (
 from edgewalk.relational import MlpParams
 
 from helpers import EDGE_VALUES, node_id
-from oracles import accumulate_rows_reference, load_checkpoint, update_rows_reference
+from oracles import (accumulate_rows_csr_product, accumulate_rows_reference, load_checkpoint,
+                     update_rows_reference)
 
 
 def dense_adam_reference(params, grads, steps_state):
@@ -209,6 +210,23 @@ def test_weighted_accumulate_rows_matches_reference_bytes(case, dtype):
     sources = rng.integers(0, len(table), size=len(rows))
     assert_same_bytes(accumulate_rows(rows, table, weights=weights, sources=sources),
                       accumulate_rows_reference(rows, table, weights=weights, sources=sources))
+
+
+@pytest.mark.parametrize("weights_dtype", [None, np.float64, np.float32])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("case", sorted(ROW_CASES))
+def test_accumulate_rows_kernel_matches_public_csr_product(case, dtype, weights_dtype):
+    # accumulate_rows calls scipy's private CSR kernel; a scipy that moves or
+    # changes it must fail here rather than fall back to a slower route.
+    rng = np.random.default_rng(5)
+    rows = ROW_CASES[case](rng)
+    table = with_signed_zeros(rng.normal(size=(max(len(rows), 9), 5)).astype(dtype))
+    extra = {} if weights_dtype is None else {
+        "weights": rng.normal(size=len(rows)).astype(weights_dtype),
+        "sources": rng.integers(0, len(table), size=len(rows))}
+    grads = table if extra else table[:len(rows)]
+    assert_same_bytes(accumulate_rows(rows, grads, **extra),
+                      accumulate_rows_csr_product(rows, grads, **extra))
 
 
 def block_bytes(rows, table_dtype, grad_dtype, width):

@@ -32,7 +32,7 @@ from .evaluation import EvalConfig, check_splits, node_classification_experiment
 from .graph import load_edge_labels, load_edge_list, load_node_labels, split_labeled_edges
 from .params import config_hash, load_center, save_checkpoint
 from .synth import generate_planted_partition, write_dataset
-from .training import TrainConfig, train
+from .training import TrainConfig, check_inputs, train
 from .walks import generate_walks, write_walks
 from .embedding_io import read_embeddings, write_embeddings
 
@@ -180,6 +180,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     graph, labeled = _load_graph(args.edges, args.edge_labels or None)
+    check_inputs(labeled, config)
 
     _write_manifest(out_dir / "manifest.json", "train", config.to_dict(),
                     {"edges": args.edges, "edge_labels": args.edge_labels},
@@ -230,7 +231,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     config.validate()
     digest = _sha256(Path(args.embeddings))
     ids, matrix, checkpoint = _embedding_table(Path(args.embeddings), digest)
-    labels = _load_node_labels(args.node_labels, {name: i for i, name in enumerate(ids)},
+    labels = _load_node_labels(args.node_labels, dict(zip(ids, range(len(ids)))),
                                args.strict)
     check_splits(labels.num_labeled, config.train_ratios)
     out_dir = Path(args.out_dir)
@@ -308,6 +309,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                         for value in args.values]
     else:
         labeled_sets = [full_labels] * len(args.values)
+    for config, labeled in zip(configs, labeled_sets):
+        check_inputs(labeled, config)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -148,7 +148,7 @@ def read_embeddings(lines: Iterable[str]) -> tuple[list[str], np.ndarray]:
     except (ValueError, MemoryError):
         raise ParseError(f"embedding header {header.strip()!r} asks for "
                          f"more memory than can be allocated") from None
-    row = 0
+    row, line_of_row = 0, []
     for n, line in enumerate(it, 2):
         line = line.strip()
         if not line:
@@ -159,6 +159,7 @@ def read_embeddings(lines: Iterable[str]) -> tuple[list[str], np.ndarray]:
         if row >= count:
             raise ParseError(f"line {n}: more rows than the header's {count}")
         ids.append(fields[0])
+        line_of_row.append(n)
         try:
             matrix[row] = [float(x) for x in fields[1:]]
         except ValueError as exc:
@@ -166,4 +167,9 @@ def read_embeddings(lines: Iterable[str]) -> tuple[list[str], np.ndarray]:
         row += 1
     if row != count:
         raise ParseError(f"embedding file ended after {row} of {count} rows")
+    finite = np.isfinite(matrix)
+    if not finite.all():
+        bad = int(np.argmin(finite.all(axis=1)))
+        raise ParseError(f"line {line_of_row[bad]}: embedding value "
+                         f"{matrix[bad][~finite[bad]][0]} is not finite")
     return ids, matrix

@@ -21,6 +21,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import ConfigError, ValidationError
+from .numerics import softplus
 
 log = logging.getLogger(__name__)
 
@@ -205,15 +206,15 @@ class OvrClassifier:
 
 def _logreg_objective(theta, x, sign, l2):
     """Objective and gradient of sum log(1 + exp(-sign * (x.w + b))) + l2/2 ||w||^2 for each
-    row of ``theta`` (B, F + 1) and ``sign`` (B, N), or for one vector of each.
+    row of ``theta`` (B, F + 1) and ``sign`` (B, N) of +-1, or for one vector of each.
 
     The bias (last coordinate) is not regularized. exp(-z - loss) = expit(-z) cannot overflow.
     Stacked ``np.matmul`` and ``_dot`` give each row the bits it gets alone; ``x @ w.T``
-    would not.
+    would not. A +-1 ``sign`` of any numeric dtype gives the same bits.
     """
     w, b = theta[..., :-1], theta[..., -1:]
     z = sign * (np.matmul(x, w[..., None])[..., 0] + b)
-    loss = np.logaddexp(0.0, -z)
+    loss = softplus(-z)
     value = loss.sum(axis=-1) + 0.5 * l2 * _dot(w, w)
     coef = -sign * np.exp(-z - loss)
     grad = np.empty_like(theta)
@@ -237,7 +238,8 @@ def fit_binary_logreg(features: np.ndarray, positive, l2_strength: float,
     x = np.asarray(features, dtype=np.float64)
     if x.ndim == 2:
         x, positive = x[None], [positive]
-    signs = [np.where(np.atleast_2d(np.transpose(p)), 1.0, -1.0) for p in positive]
+    signs = [np.where(np.atleast_2d(np.transpose(p)), np.int8(1), np.int8(-1))
+             for p in positive]
     sign = np.concatenate(signs)
     repeat = np.repeat(np.arange(len(x)), [len(s) for s in signs])
 
@@ -286,13 +288,31 @@ def train_ovr_logreg(features: np.ndarray, targets: np.ndarray,
 
 def predict_top_k(classifier: OvrClassifier, features: np.ndarray,
                   k_per_node: np.ndarray) -> np.ndarray:
-    """Bool (N, L) matrix of each node's k top-scoring labels; ties to the lower index."""
+    """Bool (N, L) matrix of each node's k top-scoring labels; ties to the lower index, and
+    -inf (untrained) then NaN scores last: the first k of a stable descending sort.
+
+    Pass j keeps each row's ``argmax`` over the labels not yet kept, for the rows with
+    k > j, and sets the kept label's score to -inf.
+    """
     scores = classifier.scores(np.asarray(features, dtype=np.float64))
-    order = np.argsort(-scores, axis=1, kind="stable")
-    # The label at sorted position j of a row is kept when j < k.
-    pred = np.empty(scores.shape, dtype=bool)
-    np.put_along_axis(pred, order, np.arange(scores.shape[1]) < np.reshape(k_per_node, (-1, 1)),
-                      axis=1)
+    nan = np.isnan(scores)
+    scores[nan] = -np.inf
+    k = np.broadcast_to(np.ravel(k_per_node), len(scores))
+    pred = np.zeros(scores.shape, dtype=bool)
+    rows = np.arange(len(scores))
+    for j in range(min(int(k.max(initial=0)), scores.shape[1])):
+        live = k[rows] > j
+        if not live.all():
+            rows, scores = rows[live], scores[live]
+        at = np.arange(len(rows))
+        best = scores.argmax(axis=1)
+        # Where every label left scores -inf, argmax may return a kept one: take the
+        # lowest-index label not kept, and a NaN one only when no other is left.
+        tied = scores[at, best] == -np.inf
+        if tied.any():
+            best[tied] = np.argmax(~pred[rows[tied]] * (2 - nan[rows[tied]]), axis=1)
+        pred[rows, best] = True
+        scores[at, best] = -np.inf
     return pred
 
 

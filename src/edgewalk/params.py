@@ -16,7 +16,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .errors import ConfigError, NumericsError, ParseError, ValidationError, check_allocatable
 
@@ -75,6 +74,8 @@ def accumulate_rows(rows: np.ndarray, grads: np.ndarray, weights: np.ndarray | N
     given. Each sum starts from zero and adds the row's contributions in
     order of appearance, so it equals ``np.add.at`` into zeros bit for bit.
     """
+    from scipy.sparse import _sparsetools    # imported on use: only training loads scipy
+
     if (weights is None) != (sources is None):
         raise ValidationError("weights and sources must be given together")
     if sources is None:
@@ -86,7 +87,7 @@ def accumulate_rows(rows: np.ndarray, grads: np.ndarray, weights: np.ndarray | N
     # scipy's kernel behind ``csr_matrix(...) @ grads``, called without building
     # the matrix, adds them into zeros in that order.
     sums = np.zeros((len(first), grads.shape[1]), dtype=np.result_type(weights, grads))
-    scipy.sparse._sparsetools.csr_matvecs(
+    _sparsetools.csr_matvecs(
         len(first), len(grads), grads.shape[1], np.append(first, len(rows)), sources[order],
         weights[order], grads.ravel(), sums.ravel())
     return ordered[first], sums
@@ -267,8 +268,9 @@ def load_center(path, embeddings_sha256: str) -> tuple[list[str], np.ndarray]:
     That digest is of the embedding file written with the checkpoint, whose
     ``%.17g`` text parses to exactly these values, so the result equals
     ``read_embeddings`` of that file bit for bit. Only the header and the
-    first array are read. A file that is not such a checkpoint, or that
-    records another digest or none, raises ParseError.
+    first array are read. A file that is not such a checkpoint, that records
+    another digest or none, or whose table holds a non-finite value (which
+    ``read_embeddings`` refuses) raises ParseError.
     """
     with open(path, "rb") as fh:
         header = _read_header(fh, path)
@@ -280,7 +282,7 @@ def load_center(path, embeddings_sha256: str) -> tuple[list[str], np.ndarray]:
         meta = arrays[0] if isinstance(arrays, list) and arrays else None
         meta = meta if isinstance(meta, dict) else {}
         shape = meta.get("shape")
-        if not (isinstance(ids, list) and all(isinstance(i, str) for i in ids)
+        if not (isinstance(ids, list) and set(map(type, ids)) <= {str}
                 and meta.get("name") == "center" and meta.get("dtype") in ("float64", "float32")
                 and isinstance(shape, list) and len(shape) == 2 and shape[0] == len(ids)
                 and type(shape[1]) is int and shape[1] >= 0):
@@ -290,4 +292,6 @@ def load_center(path, embeddings_sha256: str) -> tuple[list[str], np.ndarray]:
         if os.fstat(fh.fileno()).st_size - fh.tell() < rows * dim * dtype.itemsize:
             raise ParseError(f"{path}: truncated checkpoint")
         center = np.fromfile(fh, dtype=dtype, count=rows * dim)
+    if not np.isfinite(center).all():
+        raise ParseError(f"{path}: center table holds a non-finite value")
     return ids, center.reshape(rows, dim).astype(np.float64, copy=False)

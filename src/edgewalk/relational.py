@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .errors import NumericsError, ValidationError, check_allocatable
 from .params import EmbeddingTables, SparseGrad, accumulate_rows
@@ -56,13 +55,15 @@ def mlp_forward(x: np.ndarray, params: MlpParams) -> tuple[np.ndarray, list[np.n
     ``x`` is an (N, input_dim) batch. The cache holds the input of every
     layer (post-activation), for the backward pass.
     """
+    from scipy.special import expit    # imported on use: only training loads scipy
+
     h, cache = x, [x]
     depth = len(params.weights)
     for k, (w, b) in enumerate(zip(params.weights, params.biases)):
         z = h @ w.T + b
         if not np.isfinite(z).all():
             raise NumericsError(f"non-finite activation at classifier layer {k}")
-        h = scipy.special.expit(z) if k == depth - 1 else np.maximum(z, 0.0)
+        h = expit(z) if k == depth - 1 else np.maximum(z, 0.0)
         cache.append(h)
     return h, cache
 

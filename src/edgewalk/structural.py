@@ -9,16 +9,16 @@ are drawn from a degree^power noise distribution, redrawn whenever they
 collide with the pair's own context. The batch loss is the mean over
 pairs, and gradients are exact analytic gradients of that mean.
 
-Log-sigmoid terms are evaluated with logaddexp and the logistic function
-with scipy's expit, so no score magnitude can produce an infinity.
+Log-sigmoid terms are evaluated with ``numerics.softplus`` and the logistic
+function with scipy's expit, so no score magnitude can produce an infinity.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy
 
 from .errors import ConfigError, ValidationError
+from .numerics import softplus
 from .params import EmbeddingTables, SparseGrad, accumulate_rows
 
 
@@ -66,6 +66,8 @@ def loss_and_grads(
     Kept separate from the sampling step so gradients can be checked by
     finite differences against the very same function.
     """
+    from scipy.special import expit    # imported on use: only training loads scipy
+
     centers = np.asarray(pairs)[:, 0]
     contexts = np.asarray(pairs)[:, 1]
     n = len(centers)
@@ -75,10 +77,10 @@ def loss_and_grads(
 
     pos_scores = np.einsum("nd,nd->n", c, q_pos)
     neg_scores = np.einsum("nd,nkd->nk", c, q_neg)
-    loss = (np.logaddexp(0.0, -pos_scores).sum() + np.logaddexp(0.0, neg_scores).sum()) / n
+    loss = (softplus(-pos_scores).sum() + softplus(neg_scores).sum()) / n
 
-    d_pos = (scipy.special.expit(pos_scores) - 1.0) / n     # (N,)
-    d_neg = scipy.special.expit(neg_scores) / n             # (N, K)
+    d_pos = (expit(pos_scores) - 1.0) / n     # (N,)
+    d_neg = expit(neg_scores) / n             # (N, K)
 
     g_center = d_pos[:, None] * q_pos + np.einsum("nk,nkd->nd", d_neg, q_neg)
     center_rows, center_grads = accumulate_rows(centers, g_center)

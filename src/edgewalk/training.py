@@ -163,13 +163,19 @@ def schedule_counts(batches_per_round: int, lambda_: float) -> tuple[int, int]:
     return n_structural, batches_per_round - n_structural
 
 
+def check_inputs(labeled_edges: LabelSet | None, config: TrainConfig) -> None:
+    """Raise ConfigError unless ``config`` is valid and has the labeled edges it needs.
+    ``train`` checks this first; the CLI checks it before it writes a manifest."""
+    config.validate()
+    if config.lambda_ > 0.0 and (labeled_edges is None or not labeled_edges.num_labeled):
+        raise ConfigError("lambda > 0 requires a non-empty labeled edge set")
+
+
 def train(graph: Graph, labeled_edges: LabelSet | None, config: TrainConfig) -> TrainResult:
     """Run the joint training loop and return tables, classifier and report."""
-    config.validate()
+    check_inputs(labeled_edges, config)
     seed = config.seed
     supervised = config.lambda_ > 0.0
-    if supervised and (labeled_edges is None or not labeled_edges.num_labeled):
-        raise ConfigError("lambda > 0 requires a non-empty labeled edge set")
 
     dtype = np.dtype(config.dtype)
     tables = init_embeddings(graph.num_nodes, config.dim, _derive_seed(seed, _S_INIT), dtype)

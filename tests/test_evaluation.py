@@ -425,6 +425,19 @@ def test_top_k_matches_rank_form_with_ties_and_untrained_labels():
         k_per_node = rng.integers(1, num_labels + 1, size=60)
         assert np.array_equal(predict_top_k(clf, x, k_per_node),
                               top_k_by_ranks(want_scores, k_per_node))
+        # Rows whose k exceeds the trained labels (or all labels, or is 0): every -inf label
+        # is kept once, in index order, after the trained ones.
+        k_per_node = clf.trained.sum() + rng.integers(-1, num_labels - clf.trained.sum() + 3,
+                                                      size=60)
+        assert np.array_equal(predict_top_k(clf, x, k_per_node),
+                              top_k_by_ranks(want_scores, k_per_node))
+        # Trained labels that score +inf, -inf or NaN everywhere (through the bias): NaN
+        # ranks after -inf, as in the stable descending sort.
+        clf.biases[::2] = rng.choice([np.inf, -np.inf, np.nan, 0.0], size=clf.biases[::2].shape)
+        want_scores = clf.scores(x)
+        k_per_node = rng.integers(0, num_labels + 2, size=60)
+        assert np.array_equal(predict_top_k(clf, x, k_per_node),
+                              top_k_by_ranks(want_scores, k_per_node))
 
 
 # macro F1 ----------------------------------------------------------------------

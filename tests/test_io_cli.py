@@ -167,6 +167,21 @@ def test_train_lambda_positive_without_labels_fails(synth_dir, tmp_path, capsys)
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_empty_edge_label_file_is_refused_before_the_manifest(synth_dir, tmp_path, capsys,
+                                                               command):
+    empty = tmp_path / "empty.edge_labels"
+    empty.write_text("# no labeled edges\n")
+    out = tmp_path / "out"
+    data = [str(synth_dir / "graph.edges"), str(empty)]
+    if command == "sweep":
+        data = ["lambda", *data, str(synth_dir / "graph.node_labels"), "--values", "0", "0.5",
+                "--eval-ratio", "0.3", "--eval-repeats", "1"]
+    assert main([command, *data, "--lambda", "0.5", *TINY_TRAIN_FLAGS, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == "error: lambda > 0 requires a non-empty labeled edge set\n"
+    assert not list(out.glob("*manifest.json"))
+
+
 def test_train_unreadable_path(tmp_path, capsys):
     rc = main(["train", str(tmp_path / "missing.edges"), "--lambda", "0",
                "--out-dir", str(tmp_path)])
@@ -478,6 +493,22 @@ def test_bad_label_input_is_refused_before_the_manifest(embedding_files, tmp_pat
     assert not out.exists() and solves == []
 
 
+# A value that parses as a float but is not finite ends the run in one error line that
+# names its line, before the manifest, instead of numpy warnings and a score.
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+def test_non_finite_embedding_value_is_an_error(embedding_files, tmp_path, capsys, value):
+    vec, nl = embedding_files
+    lines = vec.read_text().splitlines()
+    lines[3] = " ".join([*lines[3].split()[:2], value, *lines[3].split()[3:]])
+    vec.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "e"
+    assert main(["evaluate", str(vec), str(nl), "--ratios", "0.5", "--repeats", "2",
+                 "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: line 4: embedding value {float(value)} is not finite\n"
+    assert not out.exists()
+
+
 # evaluate, center table from the checkpoint -------------------------------------
 
 
@@ -588,6 +619,31 @@ def test_evaluate_falls_back_to_the_text(synth_dir, trained, tmp_path, caplog, f
     assert manifest["embeddings_checkpoint"] is None
     assert any("checkpoint.bin" in rec.message and "as text" in rec.message
                for rec in caplog.records)
+
+
+def test_non_finite_value_in_a_matching_checkpoint_is_an_error(synth_dir, trained, tmp_path,
+                                                               capsys, caplog):
+    # The checkpoint reader refuses what the text reader refuses, so evaluate falls
+    # back to the text and ends in the text's error.
+    run = tmp_path / "run"
+    run.mkdir()
+    head, first, rest = (trained / "embeddings.vec").read_text().split("\n", 2)
+    (run / "embeddings.vec").write_text("\n".join([head, " ".join(
+        [first.split()[0], "nan", *first.split()[2:]]), rest]))
+    blob = bytearray((trained / "checkpoint.bin").read_bytes())
+    body = 12 + int.from_bytes(blob[8:12], "little")
+    blob[body:body + 8] = np.float64(np.nan).tobytes()
+    (run / "checkpoint.bin").write_bytes(blob)
+    header = checkpoint_header(run / "checkpoint.bin")
+    header["embeddings_sha256"] = hashlib.sha256((run / "embeddings.vec").read_bytes()).hexdigest()
+    rewrite_header(run / "checkpoint.bin", header)
+    caplog.set_level("INFO", logger="edgewalk")
+    out = tmp_path / "eval"
+    assert main(["evaluate", str(run / "embeddings.vec"), str(synth_dir / "graph.node_labels"),
+                 "--ratios", "0.5", "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == "error: line 2: embedding value nan is not finite\n"
+    assert any("non-finite" in rec.message for rec in caplog.records)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("target", ["regular file", "/dev/null"])
